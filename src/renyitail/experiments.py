@@ -13,8 +13,6 @@ import io
 import json
 import math
 import time
-import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,7 +20,14 @@ import numpy as np
 from . import estimators
 from .gof import ks_critical, ks_statistic
 from .large_deviations import _tail_rate, exact_hill_tail, mc_tail_logprob
-from .rand_models import DistributionSpec, SeedSpec, draw, parse_spec, support
+from .rand_models import (
+    DistributionSpec,
+    SeedSpec,
+    draw,
+    parse_spec,
+    replication_map,
+    support,
+)
 from .renyi import (
     HeavySample,
     cross_moment_recursion,
@@ -98,6 +103,8 @@ class ExperimentConfig:
             raise ValueError("eps must lie in (0, 1)")
         if not self.scale_c > 0:
             raise ValueError("scale C must be positive")
+        if self.y is not None and not math.isfinite(self.y):
+            raise ValueError("threshold y must be finite")
         if self.s_grid is not None:
             sg = tuple(float(s) for s in self.s_grid)
             if any(not 0.0 < s < 1.0 for s in sg):
@@ -192,37 +199,6 @@ class ReportTable:
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
-
-
-def _stream_base(tag: str) -> int:
-    return zlib.crc32(tag.encode("utf-8")) << 32
-
-
-def replication_map(fn, reps: int, master_seed: int, tag: str,
-                    workers: int = 1, start: int = 0) -> np.ndarray:
-    """Evaluate fn(rng) on per-replication streams start..start+reps-1.
-
-    Results are stacked in replication order whatever the worker count, so
-    splitting a range across runs and concatenating reproduces the single
-    run exactly.
-    """
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    base = _stream_base(tag)
-
-    def run_range(lo: int, hi: int) -> list:
-        return [fn(SeedSpec(master_seed, base + i).generator()) for i in range(lo, hi)]
-
-    if workers <= 1:
-        out = run_range(start, start + reps)
-    else:
-        bounds = np.linspace(start, start + reps, 4 * workers + 1).astype(int)
-        spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        out = []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(lambda ab: run_range(*ab), spans):
-                out.extend(part)
-    return np.asarray(out)
 
 
 def _meta(cfg: ExperimentConfig) -> dict:

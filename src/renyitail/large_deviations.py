@@ -22,6 +22,7 @@ from .rand_models import (
     mgf,
     mgf_domain,
     moment,
+    replication_map,
     support,
 )
 
@@ -252,8 +253,6 @@ def mc_tail_logprob(spec: DistributionSpec, k: int, y: float, reps: int,
     rate = _tail_rate(spec, y)
     if math.isinf(rate) or reps * math.exp(-k * rate) < 100.0:
         return MCTailResult(None, None, 0, reps, True)
-
-    from .experiments import replication_map  # deferred: avoids an import cycle
 
     def one_rep(rng) -> float:
         return 1.0 if draw(spec, rng, k).mean() >= y else 0.0

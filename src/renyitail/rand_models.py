@@ -9,11 +9,14 @@ quantile function).
 Sampling is reproducible: every draw comes from a counter-based Philox
 stream keyed by ``(master_seed, stream_index)``, so distinct stream
 indices never share state and results are independent of scheduling.
+``replication_map`` runs one such stream per Monte Carlo replication.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,7 @@ from scipy.special import gammaincinv
 __all__ = [
     "DistributionSpec",
     "SeedSpec",
+    "replication_map",
     "exponential",
     "uniform",
     "bernoulli",
@@ -65,6 +69,10 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in SPACING_KINDS + IID_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        for name in ("gamma", "r", "c"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.kind}: {name} must be finite")
         if self.kind == "hall":
             if self.gamma not in (None, _HALL_GAMMA) or self.r is not None or self.c is not None:
                 raise ValueError("hall law takes no parameters")
@@ -192,8 +200,74 @@ class SeedSpec:
         return SeedSpec(self.master_seed, stream_index)
 
     def generator(self) -> Generator:
-        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-        return Generator(Philox(key=key))
+        return next(_streams(self.master_seed, (self.stream_index,)))
+
+
+def _streams(master_seed: int, stream_indices):
+    """Yield one Generator, re-keyed in place to each (master_seed, index).
+
+    Philox is counter-based, so setting the full state (key, counter 0,
+    empty 64- and 32-bit buffers) starts exactly the stream a fresh
+    ``Philox(key=...)`` would, without paying for a new bit generator.
+    Each yielded value is the same object: it is valid until the next one.
+    """
+    key = np.array([master_seed, 0], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bitgen = Philox(key=key)
+    rng = Generator(bitgen)
+    for index in stream_indices:
+        key[1] = index
+        bitgen.state = state
+        yield rng
+
+
+def _stream_base(tag: str) -> int:
+    return zlib.crc32(tag.encode("utf-8")) << 32
+
+
+def replication_map(fn, reps: int, master_seed: int, tag: str,
+                    workers: int = 1, start: int = 0) -> np.ndarray:
+    """Evaluate fn(rng) on per-replication streams start..start+reps-1.
+
+    Replication i draws from the stream ``SeedSpec(master_seed,
+    crc32(tag) * 2^32 + i)``.  Results are stacked in replication order
+    whatever the worker count, so splitting a range across runs and
+    concatenating reproduces the single run exactly.
+
+    The generator passed to fn is valid only during that call: each worker
+    re-keys one generator for its next replication, so fn must not keep it.
+    """
+    if reps < 1:
+        raise ValueError("reps must be positive")
+    base = _stream_base(tag)
+    if not 0 <= master_seed < 2**64:
+        raise ValueError("master_seed must fit in 64 unsigned bits")
+    first, last = base + start, base + start + reps - 1
+    if first < 0 or last >= 2**64:
+        raise ValueError(f"streams {first}..{last} of tag {tag!r} "
+                         "do not fit in 64 unsigned bits")
+
+    def run_range(lo: int, hi: int) -> list:
+        return [fn(rng) for rng in _streams(master_seed, range(base + lo, base + hi))]
+
+    if workers <= 1:
+        out = run_range(start, start + reps)
+    else:
+        parts = 4 * workers  # exact integer bounds: start may exceed float precision
+        bounds = [start + reps * j // parts for j in range(parts + 1)]
+        spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+        out = []
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(lambda ab: run_range(*ab), spans):
+                out.extend(part)
+    return np.asarray(out)
 
 
 def draw(spec: DistributionSpec, rng: Generator, count: int) -> np.ndarray:

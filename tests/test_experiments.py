@@ -42,6 +42,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ex.ExperimentConfig(experiment="variance_curve", specs=THREE_LAWS,
                             s_grid=(0.2, 1.2))
+    for y in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), y=y)
 
 
 def test_variance_curve_rejects_iid_laws():
@@ -100,6 +103,67 @@ def test_distinct_experiments_use_distinct_streams():
     a = ex.replication_map(fn, 5, 7, "tag/a")
     b = ex.replication_map(fn, 5, 7, "tag/b")
     assert not np.array_equal(a, b)
+
+
+def _mixed_draws(rng):
+    """Three 32-bit integers (leaving a half-used 64-bit word) plus
+    uniforms and ziggurat draws (leaving the Philox block buffer part-used)."""
+    ints = [rng.integers(1000) for _ in range(3)]
+    return np.concatenate([ints, rng.random(3), rng.exponential(size=2),
+                           rng.standard_gamma(2.5, size=2)])
+
+
+def _reference(fn, reps, seed, tag, start=0):
+    base = rm._stream_base(tag)
+    return np.asarray([fn(rm.SeedSpec(seed, base + i).generator())
+                       for i in range(start, start + reps)])
+
+
+def test_stream_reuse_leaves_partial_buffers():
+    """Premise of the equivalence test: replications end mid-buffer, so a
+    re-key that skipped has_uint32 or buffer_pos would leak state."""
+    ends = []
+    for i in range(8):
+        rng = rm.SeedSpec(7, i).generator()
+        _mixed_draws(rng)
+        ends.append(rng.bit_generator.state)
+    assert any(st["has_uint32"] == 1 for st in ends)
+    assert any(st["buffer_pos"] < 4 for st in ends)  # 4 = block used up
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("start,reps", [(0, 25), (7, 19)])
+def test_replication_map_matches_fresh_streams(workers, start, reps):
+    got = ex.replication_map(_mixed_draws, reps, 7, "tag/eq", workers=workers, start=start)
+    assert np.array_equal(got, _reference(_mixed_draws, reps, 7, "tag/eq", start=start))
+
+
+def test_replication_map_split_at_odd_start_matches_fresh_streams():
+    full = _reference(_mixed_draws, 30, 11, "tag/split")
+    head = ex.replication_map(_mixed_draws, 13, 11, "tag/split", workers=2)
+    tail = ex.replication_map(_mixed_draws, 17, 11, "tag/split", workers=3, start=13)
+    assert np.array_equal(np.vstack([head, tail]), full)
+
+
+def test_replication_map_range_checked_before_any_replication():
+    calls = []
+
+    def fn(rng):
+        calls.append(1)
+        return rng.random()
+
+    room = 2**64 - rm._stream_base("tag/edge")  # streams left under this tag
+    for kwargs in ({"master_seed": -1}, {"master_seed": 2**64},
+                   {"master_seed": 7, "start": room - 4},
+                   {"master_seed": 7, "start": -rm._stream_base("tag/edge") - 1}):
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            ex.replication_map(fn, 5, tag="tag/edge", **kwargs)
+    assert calls == []
+    # the last representable streams are still reachable, with any worker count
+    expected = _reference(fn, 5, 7, "tag/edge", start=room - 5)
+    for workers in (1, 2):
+        got = ex.replication_map(fn, 5, 7, "tag/edge", workers=workers, start=room - 5)
+        assert np.array_equal(got, expected)
 
 
 def test_variance_curve_values():

@@ -199,6 +199,11 @@ def test_parse_rejects_unknown():
         rm.parse_spec("weibull:gamma=1")
     with pytest.raises(ValueError):
         rm.parse_spec("exp:gamma=0.5,gamma=0.6")
+    for text in ("exp:gamma=inf", "unif:gamma=inf", "exp:gamma=nan",
+                 "gamma:r=inf,gamma=1", "gamma:r=2,gamma=inf",
+                 "pareto:gamma=0.5,c=inf", "pareto:gamma=inf,c=1"):
+        with pytest.raises(ValueError, match="finite"):
+            rm.parse_spec(text)
 
 
 def test_mgf_unsupported_negative_t_for_pareto():
