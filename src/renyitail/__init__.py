@@ -19,7 +19,6 @@ from .estimators import (
     hill,
     hill_trajectory,
     ml_uniform,
-    normal_quantile,
     quantile_estimator,
     spacing_sigma,
 )
@@ -37,7 +36,6 @@ from .experiments import (
 from .gof import ks_critical, ks_critical_two_sample, ks_statistic, ks_statistic_two_sample
 from .large_deviations import (
     MCTailResult,
-    RateQuery,
     exact_hill_tail,
     gamma_family_rates,
     iid_comparison_rates,

@@ -71,6 +71,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
 def _unit_float(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -143,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--reps", type=_positive_int, default=None)
     p.add_argument("--eps", type=_unit_float, default=0.1)
-    p.add_argument("--y", type=float, default=1.5, help="tail threshold for --id ld")
+    p.add_argument("--y", type=_finite_float, default=1.5, help="tail threshold for --id ld")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--avg-seeds", type=_positive_int, default=1,
                    help="average the hill plot over this many seeds")
@@ -350,10 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "rate":
             return _cmd_rate(args, argv, parser)
         return _cmd_figure(args, argv)
-    except DataError as exc:
-        print(f"renyitail: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, NotImplementedError, OSError) as exc:
+    except (DataError, ValueError, NotImplementedError, OSError) as exc:
         print(f"renyitail: error: {exc}", file=sys.stderr)
         return 1
 

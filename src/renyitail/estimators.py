@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .renyi import HeavySample, RenyiSample, scaled_log_spacings
 
@@ -26,7 +27,6 @@ __all__ = [
     "h_minimizer",
     "spacing_sigma",
     "ml_uniform",
-    "normal_quantile",
     "ci_spacing",
     "ci_hill_self",
     "ci_quantile",
@@ -50,24 +50,35 @@ class EstimateWithCI:
             raise ValueError("interval must contain the point estimate")
 
 
-def _check_k(n: int, k: int, minimum: int = 1) -> None:
-    if not minimum <= k <= n:
+def _check_k(n: int, k, minimum: int = 1) -> tuple[np.ndarray, int]:
+    """k as an integer array (0-d for an int) with entries in minimum..n, and its largest entry."""
+    ks = np.asarray(k)
+    if ks.dtype.kind not in "iu" or ks.ndim > 1 or ks.size == 0:
+        raise ValueError(f"k must be an integer or a nonempty 1-d integer array, got {k!r}")
+    kmax = int(ks.max())
+    if ks.min() < minimum or kmax > n:
         raise ValueError(f"k must lie in {minimum}..{n}, got {k}")
+    return ks, kmax
 
 
-def hill(h: HeavySample, k: int) -> float:
+def hill(h: HeavySample, k):
     """Average of the top-k scaled log-spacings,
     (1/k) sum_{j=1..k} j (log w_{n-j+1} - log w_{n-j}), with w_0 = C.
+
+    ``k`` is an int (a float is returned) or a nonempty 1-d integer array
+    (one estimate per entry).  Every k reads the same running sum of the spacings
+    from the top, so a grid costs one pass and each entry equals the scalar
+    call bit for bit.
     """
-    _check_k(h.n, k)
-    zhat = scaled_log_spacings(h)
-    return float(np.mean(zhat[h.n - k:]))
+    ks, kmax = _check_k(h.n, k)
+    top = np.cumsum(scaled_log_spacings(h)[::-1][:kmax])
+    gamma_hat = top[ks - 1] / ks
+    return float(gamma_hat) if ks.ndim == 0 else gamma_hat
 
 
 def hill_trajectory(h: HeavySample) -> np.ndarray:
-    """hill(h, k) for every k = 1..n in one pass."""
-    zhat = scaled_log_spacings(h)
-    return np.cumsum(zhat[::-1]) / np.arange(1, h.n + 1)
+    """hill(h, k) for every k = 1..n."""
+    return hill(h, np.arange(1, h.n + 1))
 
 
 def _ceil_index(n: int, s: float) -> int:
@@ -123,13 +134,19 @@ def h_minimizer() -> tuple[float, float]:
     return s0, h_function(s0)
 
 
-def spacing_sigma(h: HeavySample, k: int) -> float:
-    """Empirical standard deviation of the first k scaled log-spacings (1/(k-1) divisor)."""
-    if k < 2:
-        raise ValueError("spacing variance needs k >= 2")
-    _check_k(h.n, k)
-    zhat = scaled_log_spacings(h)[:k]
-    return float(np.std(zhat, ddof=1))
+def spacing_sigma(h: HeavySample, k):
+    """Empirical standard deviation of the first k scaled log-spacings (1/(k-1) divisor).
+
+    ``k`` is an int >= 2 (a float is returned) or a nonempty 1-d integer array of them.
+    One pass of running sums c1 = sum z, c2 = sum z^2 serves every k:
+    var = (c2 - c1^2/k)/(k-1), clipped at 0 against roundoff.
+    """
+    ks, kmax = _check_k(h.n, k, minimum=2)
+    zhat = scaled_log_spacings(h)[:kmax]
+    c1 = np.cumsum(zhat)[ks - 1]
+    c2 = np.cumsum(zhat * zhat)[ks - 1]
+    sigma = np.sqrt(np.maximum((c2 - c1**2 / ks) / (ks - 1), 0.0))
+    return float(sigma) if ks.ndim == 0 else sigma
 
 
 def ml_uniform(h: HeavySample, k: int) -> float:
@@ -141,45 +158,10 @@ def ml_uniform(h: HeavySample, k: int) -> float:
     return 0.5 * float(np.max(zhat[h.n - k:]))
 
 
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile, rational approximation plus one Newton step.
-
-    Accurate to better than 1e-8 over (0, 1).
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    plow = 0.02425
-    if p < plow:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    elif p <= 1.0 - plow:
-        q = p - 0.5
-        r = q * q
-        x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    # one Halley-refined Newton step on Phi(x) - p
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
-
-
 def _x_eps(eps: float) -> float:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    return normal_quantile(1.0 - eps / 2.0)
+    return float(ndtri(1.0 - eps / 2.0))
 
 
 def ci_spacing(gamma_hat: float, sigma_hat: float, k: int, eps: float) -> EstimateWithCI:

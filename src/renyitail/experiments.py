@@ -33,7 +33,6 @@ from .renyi import (
     cross_moment_recursion,
     generalized_renyi,
     heavy_sample,
-    scaled_log_spacings,
 )
 
 __all__ = [
@@ -291,20 +290,16 @@ def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     cfg = replace(cfg, k_grid=k_grid)
     n = cfg.n
     ks = np.asarray(k_grid)
-    x_eps = estimators.normal_quantile(1.0 - cfg.eps / 2.0)
+    x_eps = estimators._x_eps(cfg.eps)
     columns = ["k"]
     cover_cols = []
     for spec in cfg.specs:
         g = spec.gamma
 
         def one_rep(rng, _spec=spec, _g=g):
-            zhat = scaled_log_spacings(_heavy_for(_spec, rng, n, cfg.scale_c))
-            top = np.cumsum(zhat[::-1])
-            gh = top[ks - 1] / ks
-            c1 = np.cumsum(zhat)
-            c2 = np.cumsum(zhat * zhat)
-            var = (c2[ks - 1] - c1[ks - 1] ** 2 / ks) / (ks - 1)
-            sig = np.sqrt(np.maximum(var, 0.0))
+            h = _heavy_for(_spec, rng, n, cfg.scale_c)
+            gh = estimators.hill(h, ks)
+            sig = estimators.spacing_sigma(h, ks)
             dev = np.abs(gh - _g) * np.sqrt(ks)
             return np.concatenate([(dev <= sig * x_eps), (dev <= gh * x_eps)])
 

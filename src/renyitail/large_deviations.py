@@ -27,7 +27,6 @@ from .rand_models import (
 )
 
 __all__ = [
-    "RateQuery",
     "rate_function",
     "gamma_family_rates",
     "iid_comparison_rates",
@@ -38,22 +37,6 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class RateQuery:
-    """A rate-function evaluation point with its finite-mgf domain."""
-
-    spec: DistributionSpec
-    z: float
-    t_domain: tuple[float, float]
-
-    @classmethod
-    def of(cls, spec: DistributionSpec, z: float) -> "RateQuery":
-        return cls(spec, z, mgf_domain(spec))
-
-    def evaluate(self) -> float:
-        return rate_function(self.spec, self.z)
 
 
 def _dual_objective(spec: DistributionSpec, z: float, t: float) -> float:

@@ -133,11 +133,9 @@ def ml_fit(model_family: str, w: HeavySample, k: int, r: float | None = None) ->
     block: exponential and fixed-shape gamma reduce to the Hill estimator,
     uniform to half the largest spacing.
     """
-    if model_family == "exponential":
-        return hill(w, k)
-    if model_family == "gamma":
-        if r is None or not r > 0:
-            raise ValueError("gamma family needs a positive shape r")
+    if model_family == "gamma" and (r is None or not r > 0):
+        raise ValueError("gamma family needs a positive shape r")
+    if model_family in ("exponential", "gamma"):
         return hill(w, k)
     if model_family == "uniform":
         return ml_uniform(w, k)

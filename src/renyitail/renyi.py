@@ -10,6 +10,7 @@ any simulation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,13 +60,26 @@ class HeavySample:
         w = np.asarray(self.w, dtype=np.float64)
         if w.ndim != 1 or len(w) < 1:
             raise ValueError("w must be a nonempty 1-d sequence")
-        if w[0] < self.scale_c or np.any(np.diff(w) < 0):
-            raise ValueError("w must be nondecreasing with w[0] >= C")
+        # NaN fails every comparison, and in a nondecreasing w an inf must sit at the end
+        if not (w[0] >= self.scale_c and math.isfinite(w[-1]) and np.all(np.diff(w) >= 0)):
+            raise ValueError("w must be finite and nondecreasing with w[0] >= C")
+        w = w.view()
+        w.flags.writeable = False  # zhat is cached from w
         object.__setattr__(self, "w", w)
 
     @property
     def n(self) -> int:
         return len(self.w)
+
+    @functools.cached_property
+    def zhat(self) -> np.ndarray:
+        """Scaled log-spacings zhat_k = (n-k+1)(log w_k - log w_{k-1}), w_0 = C;
+        computed on first use, read-only.
+        """
+        logw = np.log(np.concatenate(([self.scale_c], self.w)))
+        zhat = np.diff(logw) * np.arange(self.n, 0, -1)
+        zhat.flags.writeable = False
+        return zhat
 
 
 def generalized_renyi(z) -> RenyiSample:
@@ -75,6 +89,8 @@ def generalized_renyi(z) -> RenyiSample:
         raise ValueError("z must be a nonempty 1-d sequence")
     n = len(z)
     x = np.cumsum(z / np.arange(n, 0, -1))
+    if not math.isfinite(x[-1]):  # a NaN or inf in z reaches the last prefix sum
+        raise ValueError("z must be finite, with prefix sums that do not overflow")
     return RenyiSample(n=n, z=z, x=x)
 
 
@@ -93,14 +109,12 @@ def heavy_sample_from_sorted(w, scale_c: float) -> HeavySample:
 
 
 def scaled_log_spacings(h: HeavySample) -> np.ndarray:
-    """Recover zhat_k = (n-k+1)(log w_k - log w_{k-1}) with w_0 = C.
+    """Recover zhat_k = (n-k+1)(log w_k - log w_{k-1}) with w_0 = C (read-only,
+    computed once per sample).
 
     Exact inverse of heavy_sample(generalized_renyi(z), C) up to roundoff.
     """
-    if np.any(h.w <= 0):
-        raise ValueError("w must be positive")
-    logw = np.log(np.concatenate(([h.scale_c], h.w)))
-    return np.diff(logw) * np.arange(h.n, 0, -1)
+    return h.zhat
 
 
 def permuted_view(r: RenyiSample, perm) -> np.ndarray:

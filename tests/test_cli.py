@@ -237,3 +237,10 @@ def test_negative_n_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--spec", "exp:gamma=0.5", "--n", "0", "--c", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
+def test_figure_non_finite_y_exit_2(y):
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "--id", "ld", "--y", y])
+    assert exc.value.code == 2

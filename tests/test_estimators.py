@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from renyitail import estimators as est
@@ -68,6 +70,9 @@ def test_hill_k_domain():
         est.hill(h, 0)
     with pytest.raises(ValueError):
         est.hill(h, 3)
+    for bad in (np.array([1, 3]), np.array([1.0, 2.0]), np.array([[1, 2]]), np.array([], int)):
+        with pytest.raises(ValueError):
+            est.hill(h, bad)
 
 
 def test_hill_unbiased_at_full_sample():
@@ -103,6 +108,17 @@ def test_hill_trajectory_matches_pointwise():
     traj = est.hill_trajectory(h)
     for k in (1, 2, 30, 60):
         assert traj[k - 1] == pytest.approx(est.hill(h, k), rel=1e-12)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(z=st.lists(st.floats(0.0, 100.0), min_size=2, max_size=300),
+       c=st.floats(0.01, 100.0), data=st.data())
+def test_k_grid_equals_scalar_calls_bit_for_bit(z, c, data):
+    h = heavy_sample(generalized_renyi(z), c)
+    ks = np.array(data.draw(st.lists(st.integers(1, h.n), min_size=1, max_size=20)))
+    assert np.array_equal(est.hill(h, ks), [est.hill(h, int(k)) for k in ks])
+    ks = np.array(data.draw(st.lists(st.integers(2, h.n), min_size=1, max_size=20)))
+    assert np.array_equal(est.spacing_sigma(h, ks), [est.spacing_sigma(h, int(k)) for k in ks])
 
 
 def test_quantile_estimator_hand_value():
@@ -195,16 +211,23 @@ def test_spacing_sigma_consistency(law, sd):
     assert abs(est.spacing_sigma(h, n) - sd) <= 0.02
 
 
-def test_normal_quantile_against_scipy():
-    grid = np.concatenate([np.linspace(1e-9, 1 - 1e-9, 4001), [1e-12, 1 - 1e-12]])
-    worst = max(abs(est.normal_quantile(float(p)) - special.ndtri(p)) for p in grid)
-    assert worst <= 1e-8
-
-
-def test_normal_quantile_domain():
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            est.normal_quantile(bad)
+# k >= 20: the one-pass variance loses all digits when the first k spacings are
+# (nearly) equal, which for bern at k = 20 has probability 2^-19.
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(law=st.sampled_from(["exp", "bern", "gamma"]), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(20, 3000), data=st.data())
+def test_spacing_sigma_matches_two_pass_std(law, seed, n, data):
+    rng = np.random.default_rng(seed)
+    if law == "exp":
+        z = rng.exponential(0.5, n)
+    elif law == "bern":
+        z = (rng.random(n) < 0.5).astype(float)
+    else:
+        z = rng.gamma(2.0, 0.25, n)
+    h = heavy_sample(generalized_renyi(z), 1.0)
+    k = data.draw(st.integers(20, n))
+    zhat = est.scaled_log_spacings(h)[:k]
+    assert est.spacing_sigma(h, k) == pytest.approx(np.std(zhat, ddof=1), rel=1e-12)
 
 
 def test_ci_spacing_hand_value():
@@ -229,7 +252,7 @@ def test_ci_hill_self_matches_when_sigma_equals_gamma():
 
 def test_ci_quantile_half_width():
     out = est.ci_quantile(0.5, 0.3, 0.5, 400, 0.1)
-    half = 0.3 * math.sqrt(est.h_function(0.5)) * est.normal_quantile(0.95) / 20.0
+    half = 0.3 * math.sqrt(est.h_function(0.5)) * special.ndtri(0.95) / 20.0
     assert out.upper - out.gamma_hat == pytest.approx(half, rel=1e-12)
 
 

@@ -3,10 +3,12 @@
 Each entry pins the SHA-256 of one CLI table with its ``# invocation=`` line
 removed (that line echoes the argv and nothing else).  Figures 1, 2 and 3
 run at desk scale; ld and t1 run with fewer replications to keep the suite
-fast, but still through every stage of their experiments.  A digest may only
+fast, but still through every stage of their experiments.  The estimate and
+fit tables are read from the pinned simulate sample.  A digest may only
 change in a commit that means to change the numbers, and says so.
 """
 
+import csv
 import hashlib
 
 import pytest
@@ -29,10 +31,47 @@ GOLDEN = {
 }
 
 
+ESTIMATES = {
+    ("estimate", "--method", "hill", "--c", "1"):
+        "2b4f19f03921d8ecb4777c3583f762dac9d15b5f4f58308d6013c4c563301a72",
+    ("estimate", "--method", "quantile", "--c", "1"):
+        "0c873856d0a462adf5fbe335b2a0d20906b7c20107970829c310f1fc454272f9",
+    ("estimate", "--k", "200", "--interval", "self", "--c", "1"):
+        "a51ebe129657ad0baf1aeb3de2c5e571693172c81ab5c6969f2bf75a49ae8c36",
+    ("fit", "--family", "gamma", "--r", "2", "--c", "1"):
+        "e1f24a1756880051817f0dd8248cf69a1286730f5a9bbc2792bf01bc7c76b164",
+}
+
+
+def _digest(capsys) -> str:
+    text = "".join(line for line in capsys.readouterr().out.splitlines(keepends=True)
+                   if not line.startswith("# invocation="))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def simulated_w(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden")
+    table = tmp / "simulate.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("RENYI_SEED", raising=False)
+        assert main(["simulate", "--spec", "exp:gamma=0.5", "--n", "1000", "--seed", "11",
+                     "--out", str(table)]) == 0
+    rows = csv.DictReader(line for line in table.read_text().splitlines()
+                          if not line.startswith("#"))
+    data = tmp / "w.txt"
+    data.write_text("".join(row["w"] + "\n" for row in rows))
+    return str(data)
+
+
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
 def test_table_digest(argv, monkeypatch, capsys):
     monkeypatch.delenv("RENYI_SEED", raising=False)
     assert main(list(argv)) == 0
-    text = "".join(line for line in capsys.readouterr().out.splitlines(keepends=True)
-                   if not line.startswith("# invocation="))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN[argv]
+    assert _digest(capsys) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", list(ESTIMATES), ids=" ".join)
+def test_estimate_digest(argv, simulated_w, capsys):
+    assert main([argv[0], simulated_w, *argv[1:]]) == 0
+    assert _digest(capsys) == ESTIMATES[argv]

@@ -84,12 +84,6 @@ def test_rate_convexity_and_positivity():
     assert np.all(second >= -1e-8)
 
 
-def test_rate_query_record():
-    q = ld.RateQuery.of(rm.exponential(2.0), 3.0)
-    assert q.t_domain == (-math.inf, 0.5)
-    assert q.evaluate() == pytest.approx(ld.rate_function(q.spec, q.z), rel=1e-12)
-
-
 def test_gamma_family_rates_hand_values():
     upper, lower = ld.gamma_family_rates(1.0, 0.5)
     assert upper == pytest.approx(-0.5 + math.log(1.5), abs=1e-12)

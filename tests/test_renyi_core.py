@@ -107,6 +107,32 @@ def test_scaled_log_spacings_constant():
     assert np.all(renyi.scaled_log_spacings(h) == 0.0)
 
 
+def test_scaled_log_spacings_read_only_and_computed_once():
+    h = renyi.heavy_sample(renyi.generalized_renyi([0.5, 0.1, 0.2]), 1.0)
+    zhat = renyi.scaled_log_spacings(h)
+    assert renyi.scaled_log_spacings(h) is zhat
+    for arr in (zhat, h.w):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    w = np.array([1.0, 2.0])
+    renyi.HeavySample(scale_c=1.0, w=w)
+    w[0] = 1.5  # the caller's array stays writable
+
+
+@pytest.mark.parametrize("w", [[1.0, 2.0, math.inf], [1.0, math.nan, 3.0], [math.nan, 2.0],
+                               [math.inf, math.inf]])
+def test_heavy_sample_rejects_non_finite(w):
+    with pytest.raises(ValueError):
+        renyi.HeavySample(scale_c=1.0, w=np.array(w))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("z", [[0.5, math.nan, 0.2], [0.5, math.inf], [1.5e308] * 3])
+def test_generalized_renyi_rejects_non_finite(z):
+    with pytest.raises(ValueError):
+        renyi.generalized_renyi(z)
+
+
 def test_monotone_for_nonnegative_spacings():
     rng = np.random.default_rng(34)
     z = rng.random(500) * 3.0
