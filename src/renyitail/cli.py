@@ -66,8 +66,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
     return value
 
 
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_positive_float, default=1.0)
     p.add_argument("--c", type=_unit_float, default=None, help="relative deviation in (0, 1)")
     p.add_argument("--spec", type=_spec_arg, default=None, help="evaluate I(z) for this law")
-    p.add_argument("--z", type=float, default=None)
+    p.add_argument("--z", type=_finite_float, default=None)
     add_io(p)
 
     p = sub.add_parser("figure", help="reproduce a figure-style table at desk scale")
@@ -183,21 +183,27 @@ def _read_column(path: str, allow_unsorted: bool) -> np.ndarray:
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from None
         where = path
-    values = []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            v = float(text)
-        except ValueError:
-            raise DataError(f"{where}:{lineno}: not a number: {text!r}") from None
-        if not v > 0 or not math.isfinite(v):
-            raise DataError(f"{where}:{lineno}: data must be positive and finite")
-        values.append(v)
-    if not values:
-        raise DataError(f"{where}: no data")
-    data = np.asarray(values)
+    try:
+        data = np.array([float(line) for line in lines])
+        clean = len(data) > 0 and ((data > 0) & (data < math.inf)).all()
+    except ValueError:
+        clean = False
+    if not clean:  # blank lines, or a bad line to report by its number
+        values = []
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                v = float(text)
+            except ValueError:
+                raise DataError(f"{where}:{lineno}: not a number: {text!r}") from None
+            if not v > 0 or not math.isfinite(v):
+                raise DataError(f"{where}:{lineno}: data must be positive and finite")
+            values.append(v)
+        if not values:
+            raise DataError(f"{where}: no data")
+        data = np.asarray(values)
     if allow_unsorted:
         return np.sort(data)
     drops = np.nonzero(np.diff(data) < 0)[0]
@@ -225,7 +231,7 @@ def _cmd_simulate(args, argv) -> int:
     z = sample(args.spec, seed, args.n)
     h = heavy_sample(generalized_renyi(z), args.c)
     zhat = scaled_log_spacings(h)
-    rows = [(i + 1, float(h.w[i]), float(zhat[i])) for i in range(args.n)]
+    rows = list(zip(range(1, args.n + 1), h.w.tolist(), zhat.tolist()))
     table = ReportTable(
         ["index", "w", "scaled_log_spacing"], rows,
         {"spec": args.spec.canonical(), "n": args.n, "scale_c": args.c,

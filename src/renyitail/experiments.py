@@ -14,6 +14,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -159,17 +160,12 @@ class ReportTable:
     wall_time_s: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row width does not match the column list")
-
-    @staticmethod
-    def _cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, (float, np.floating)):
-            return repr(float(value))  # shortest round-trip form, numpy scalars included
-        return str(value)
+        if set(map(len, self.rows)) - {len(self.columns)}:
+            raise ValueError("row width does not match the column list")
+        # csv writes a float by its repr and anything else by str, so numpy
+        # scalars become plain Python values (float32 widened to float64) here
+        if any(issubclass(t, np.generic) for t in set(map(type, chain.from_iterable(self.rows)))):
+            self.rows = [tuple(_plain(v) for v in row) for row in self.rows]
 
     def to_csv(self) -> str:
         """'#'-prefixed meta lines, then an RFC-4180 header + rows."""
@@ -178,14 +174,11 @@ class ReportTable:
             buf.write(f"# {key}={self.meta[key]}\r\n")
         writer = csv.writer(buf)
         writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([self._cell(v) for v in row])
+        writer.writerows(self.rows)
         return buf.getvalue()
 
     @staticmethod
     def _json_cell(value):
-        if isinstance(value, np.generic):
-            value = value.item()
         if isinstance(value, float) and math.isnan(value):
             return None
         return value
@@ -198,6 +191,12 @@ class ReportTable:
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
+
+
+def _plain(value):
+    if isinstance(value, np.floating):
+        return float(value)
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _meta(cfg: ExperimentConfig) -> dict:

@@ -347,6 +347,9 @@ def moment(spec: DistributionSpec, k: int) -> float:
     return _HALL_MEAN if k == 1 else math.inf
 
 
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
+
+
 def mgf(spec: DistributionSpec, t: float) -> float:
     """Moment generating function M(t); math.inf where M diverges."""
     g = spec.gamma
@@ -354,6 +357,8 @@ def mgf(spec: DistributionSpec, t: float) -> float:
         return 1.0 / (1.0 - g * t) if t < 1.0 / g else math.inf
     if spec.kind == "unif":
         a = 2.0 * g * t
+        if a > _LOG_DBL_MAX:  # expm1(a) overflows
+            return math.inf
         return float(np.expm1(a) / a) if a != 0.0 else 1.0
     if spec.kind == "bern":
         if t > 709.0:  # exp overflow: M is finite but not representable

@@ -244,3 +244,64 @@ def test_figure_non_finite_y_exit_2(y):
     with pytest.raises(SystemExit) as exc:
         main(["figure", "--id", "ld", "--y", y])
     assert exc.value.code == 2
+
+
+def _estimate_from(source, text, tmp_path, monkeypatch, capsys, *flags):
+    """Run `estimate` on `text` read from a file or from stdin; returns the name it reports."""
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        path, where = "-", "<stdin>"
+    else:
+        data = tmp_path / "w.txt"
+        data.write_text(text)
+        path = where = str(data)
+    return (*_run(capsys, "estimate", path, "--c", "1", *flags), where)
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("text, message", [
+    ("1\n\nfoo\n", ":3: not a number: 'foo'"),  # the blank line counts
+    ("1\n2\n 4x \n", ":3: not a number: '4x'"),
+    ("1\n0\n", ":2: data must be positive and finite"),
+    ("1\n-1\n", ":2: data must be positive and finite"),
+    ("1\nnan\n", ":2: data must be positive and finite"),
+    ("1\n2\ninf\n", ":3: data must be positive and finite"),
+    ("0\nfoo\n", ":1: data must be positive and finite"),  # the first bad line wins
+    ("foo\n0\n", ":1: not a number: 'foo'"),
+    ("", ": no data"),
+    (" \n\t\n\n", ": no data"),
+])
+def test_read_column_messages(source, text, message, tmp_path, monkeypatch, capsys):
+    code, out, err, where = _estimate_from(source, text, tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"renyitail: error: {where}{message}\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_read_column_padding_and_blank_lines(source, tmp_path, monkeypatch, capsys):
+    flags = ("--method", "hill", "--k", "2")
+    code, plain, _, _ = _estimate_from(source, "1\n2\n4\n8\n", tmp_path, monkeypatch, capsys,
+                                       *flags)
+    assert code == 0
+    for text in ("  1 \n\t2\n4  \n 8\t\n", "\n1\n\n2\n4\n \n8\n\n"):
+        code, out, _, _ = _estimate_from(source, text, tmp_path, monkeypatch, capsys, *flags)
+        assert code == 0
+        assert out.split("\r\n")[1:] == plain.split("\r\n")[1:]  # all but the invocation
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--spec", "exp:gamma=0.5", "--n", "4", "--c", "inf"),
+    ("simulate", "--spec", "exp:gamma=0.5", "--n", "4", "--c", "nan"),
+    ("estimate", "-", "--c", "inf"),
+    ("fit", "-", "--family", "gamma", "--r", "inf", "--c", "1"),
+    ("fit", "-", "--family", "exponential", "--c", "inf"),
+    ("rate", "--family", "gamma", "--r", "inf", "--c", "0.5"),
+    ("rate", "--spec", "exp:gamma=1", "--z", "nan"),
+    ("rate", "--spec", "exp:gamma=1", "--z", "inf"),
+    ("rate", "--spec", "exp:gamma=1", "--z=-inf"),
+], ids=" ".join)
+def test_non_finite_float_flags_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2

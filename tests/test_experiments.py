@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from renyitail import experiments as ex
 from renyitail import rand_models as rm
@@ -81,6 +83,72 @@ def test_report_table_numpy_scalar_cells_emit_cleanly():
     assert lines[1] == "3,0.25"
     row = json.loads(t.to_json())["rows"][0]
     assert row["v"] == 0.25
+
+
+def _reference_tables(columns, rows, meta):
+    """Reference writer that formats each cell in Python: None as "", any float
+    (numpy ones included) by the repr of its float64 value, the rest by str."""
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    def json_cell(value):
+        if isinstance(value, np.generic):
+            value = value.item()
+        if isinstance(value, float) and math.isnan(value):
+            return None
+        return value
+
+    buf = io.StringIO()
+    for key in sorted(meta):
+        buf.write(f"# {key}={meta[key]}\r\n")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([cell(v) for v in row])
+    json_rows = [{k: json_cell(v) for k, v in zip(columns, row)} for row in rows]
+    return buf.getvalue(), json.dumps({"meta": meta, "rows": json_rows}, sort_keys=True)
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+                0.1, 1e16, 1e-7)
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from(_EDGE_FLOATS).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.booleans(),
+    st.none(),
+    st.integers(),
+    st.text(st.sampled_from('a,"\r\n \'#\t'), max_size=6),
+)
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[_CELLS] * width), max_size=6))
+    return [f"c{j}" for j in range(width)], rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_tables())
+@example((["only"], [(None,), ("",), (None,)]))
+@example((["f32", "f64"], [(np.float32(0.1), np.float64(0.1)), (np.float32("nan"), -0.0)]))
+def test_report_table_matches_per_cell_writer(table):
+    columns, rows = table
+    meta = {"master_seed": 3, "config": "{}"}
+    expected_csv, expected_json = _reference_tables(columns, rows, meta)
+    t = ex.ReportTable(columns, list(rows), dict(meta))
+    assert t.to_csv() == expected_csv
+    assert t.to_json() == expected_json
 
 
 def test_replication_map_split_and_merge():

@@ -4,7 +4,8 @@ Each entry pins the SHA-256 of one CLI table with its ``# invocation=`` line
 removed (that line echoes the argv and nothing else).  Figures 1, 2 and 3
 run at desk scale; ld and t1 run with fewer replications to keep the suite
 fast, but still through every stage of their experiments.  The estimate and
-fit tables are read from the pinned simulate sample.  A digest may only
+fit tables are read from the pinned simulate sample.  A JSON table holds
+its invocation inside its meta object, so its digest covers the argv too.  A digest may only
 change in a commit that means to change the numbers, and says so.
 """
 
@@ -28,6 +29,10 @@ GOLDEN = {
         "2c07f3ab1a04f7e88a4b957686aed11351a026ac46aa8dfc20f8675546daf699",
     ("simulate", "--spec", "exp:gamma=0.5", "--n", "1000", "--seed", "11"):
         "a367e1eee0d7af9545bd15596f77994a3e6e4dceb5cb09f2db2c97c8cdd8e976",
+    ("simulate", "--spec", "exp:gamma=0.5", "--n", "1000", "--seed", "11", "--format", "json"):
+        "793fbe4f708e8550dc86053f6649fafd424b0c40046c6d8db7671dc1dd203d61",
+    ("figure", "--id", "3", "--format", "json"):
+        "a8eb979606eac32d8533220e9d115710e48405b0fc9f9e89a1ec43a1626e7e62",
 }
 
 

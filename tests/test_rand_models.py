@@ -1,6 +1,7 @@
 """Law definitions: sampling, quantiles, moments, transforms, seeding."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +84,16 @@ def test_exponential_mgf_closed_form_and_quadrature():
 
 def test_uniform_mgf_analytic_limit_at_zero():
     assert rm.mgf(rm.uniform(0.5), 0.0) == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_uniform_mgf_overflow_is_inf_without_warning():
+    spec = rm.uniform(0.5)  # M(t) = expm1(t) / t
+    edge = math.log(sys.float_info.max)
+    for t in (-1e4, -1.0, 1e-3, 700.0, edge):
+        assert rm.mgf(spec, t) == float(np.expm1(t) / t)
+    for t in (math.nextafter(edge, math.inf), 710.0, 1e4, 1e300):
+        assert rm.mgf(spec, t) == math.inf
 
 
 def test_pareto_moment_divergence_signal():
