@@ -13,7 +13,6 @@ from .estimators import (
     ci_hill_self,
     ci_quantile,
     ci_spacing,
-    empirical_quantile,
     h_function,
     h_minimizer,
     hill,
@@ -71,11 +70,9 @@ from .rand_models import (
 )
 from .renyi import (
     HeavySample,
-    RenyiSample,
     cross_moment_recursion,
     generalized_renyi,
     heavy_sample,
-    heavy_sample_from_sorted,
     moment_recursion,
     permuted_view,
     psi_n,

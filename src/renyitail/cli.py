@@ -25,7 +25,7 @@ from .experiments import (
 )
 from .large_deviations import gamma_family_rates, iid_comparison_rates, rate_function
 from .rand_models import SeedSpec, parse_spec, sample
-from .renyi import HeavySample, RenyiSample, generalized_renyi, heavy_sample, scaled_log_spacings
+from .renyi import HeavySample, heavy_sample, scaled_log_spacings
 
 _EPILOG = """\
 output formats:
@@ -118,10 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default="-", help="data file, one value per line ('-' = stdin)")
     p.add_argument("--method", choices=("hill", "quantile", "ml-uniform"), default="hill")
     p.add_argument("--k", type=_positive_int, default=None, help="order statistics used (default n)")
-    p.add_argument("--s", type=_unit_float, default=0.797, help="quantile level for --method quantile")
+    p.add_argument("--s", type=_unit_float, default=None,
+                   help="quantile level for --method quantile (default 0.797)")
     p.add_argument("--c", type=_positive_float, required=True, help="scale floor C of the model")
     p.add_argument("--eps", type=_unit_float, default=0.1, help="interval level 1-eps")
-    p.add_argument("--interval", choices=("spacing", "self", "none"), default="spacing")
+    p.add_argument("--interval", choices=("spacing", "self", "none"), default=None,
+                   help="interval for --method hill (default spacing)")
     p.add_argument("--allow-unsorted", action="store_true",
                    help="sort the input instead of rejecting unsorted data")
     add_io(p)
@@ -137,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="large-deviation rates")
     p.add_argument("--family", choices=("gamma", "iid"), default=None)
-    p.add_argument("--r", type=_positive_float, default=1.0)
+    p.add_argument("--r", type=_positive_float, default=None, help="--family gamma shape (default 1)")
     p.add_argument("--c", type=_unit_float, default=None, help="relative deviation in (0, 1)")
     p.add_argument("--spec", type=_spec_arg, default=None, help="evaluate I(z) for this law")
     p.add_argument("--z", type=_finite_float, default=None)
@@ -162,6 +164,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags each choice ignores, and the defaults of the flags it reads
+_IGNORED_FLAGS = {
+    ("estimate", "hill"): ("s",),
+    ("estimate", "quantile"): ("k", "interval"),
+    ("estimate", "ml-uniform"): ("s", "interval"),
+    ("fit", "exponential"): ("r",),
+    ("fit", "uniform"): ("r",),
+    ("rate", "iid"): ("r",),
+    ("rate", None): ("r", "c"),
+}
+_FLAG_DEFAULTS = {"estimate": {"s": 0.797, "interval": "spacing"}, "rate": {"r": 1.0}}
+
+
+def _resolve_flags(args, parser) -> None:
+    """Reject a flag the chosen method ignores (exit 2), then fill in the defaults it reads."""
+    choice = args.method if args.command == "estimate" else getattr(args, "family", None)
+    for name in _IGNORED_FLAGS.get((args.command, choice), ()):
+        if getattr(args, name) is not None:
+            key = "method" if args.command == "estimate" else "family"
+            what = f"with --{key} {choice}" if choice else f"without --{key}"
+            parser.error(f"--{name} has no effect {what}")
+    for name, value in _FLAG_DEFAULTS.get(args.command, {}).items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 def _effective_seed(args) -> int:
     env = os.environ.get("RENYI_SEED")
     if env is not None:
@@ -183,13 +211,14 @@ def _read_column(path: str, allow_unsorted: bool) -> np.ndarray:
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from None
         where = path
+    linenos = None  # the line of each value, when blank lines break the count
     try:
         data = np.array([float(line) for line in lines])
         clean = len(data) > 0 and ((data > 0) & (data < math.inf)).all()
     except ValueError:
         clean = False
     if not clean:  # blank lines, or a bad line to report by its number
-        values = []
+        values, linenos = [], []
         for lineno, line in enumerate(lines, start=1):
             text = line.strip()
             if not text:
@@ -201,6 +230,7 @@ def _read_column(path: str, allow_unsorted: bool) -> np.ndarray:
             if not v > 0 or not math.isfinite(v):
                 raise DataError(f"{where}:{lineno}: data must be positive and finite")
             values.append(v)
+            linenos.append(lineno)
         if not values:
             raise DataError(f"{where}: no data")
         data = np.asarray(values)
@@ -208,9 +238,9 @@ def _read_column(path: str, allow_unsorted: bool) -> np.ndarray:
         return np.sort(data)
     drops = np.nonzero(np.diff(data) < 0)[0]
     if len(drops):
-        raise DataError(
-            f"{where}:{int(drops[0]) + 2}: data decreases here; pass --allow-unsorted to sort"
-        )
+        i = int(drops[0]) + 1  # the first value below its predecessor
+        line = linenos[i] if linenos else i + 1
+        raise DataError(f"{where}:{line}: data decreases here; pass --allow-unsorted to sort")
     return data
 
 
@@ -229,7 +259,7 @@ def _cmd_simulate(args, argv) -> int:
     if not args.spec.is_spacing_law:
         raise DataError(f"{args.spec} is not a spacing law")
     z = sample(args.spec, seed, args.n)
-    h = heavy_sample(generalized_renyi(z), args.c)
+    h = heavy_sample(z, args.c)
     zhat = scaled_log_spacings(h)
     rows = list(zip(range(1, args.n + 1), h.w.tolist(), zhat.tolist()))
     table = ReportTable(
@@ -257,9 +287,7 @@ def _estimate_record(args, h: HeavySample):
         return estimators.EstimateWithCI(gamma_hat, gamma_hat, gamma_hat, k,
                                          1.0 - args.eps, "hill", "none")
     if args.method == "quantile":
-        x = np.log(h.w) - math.log(h.scale_c)
-        r = RenyiSample(n=n, z=scaled_log_spacings(h), x=x)
-        gamma_tilde = estimators.quantile_estimator(r, args.s)
+        gamma_tilde = estimators.quantile_estimator(np.log(h.w) - math.log(h.scale_c), args.s)
         sigma = estimators.spacing_sigma(h, n)
         return estimators.ci_quantile(gamma_tilde, sigma, args.s, n, args.eps)
     gamma_hat = estimators.ml_uniform(h, k)
@@ -353,6 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
+    _resolve_flags(args, parser)
     try:
         if args.command == "simulate":
             return _cmd_simulate(args, argv)

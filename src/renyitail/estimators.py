@@ -13,16 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import lambertw, ndtri
 
-from .renyi import HeavySample, RenyiSample, scaled_log_spacings
+from .renyi import HeavySample, scaled_log_spacings
 
 __all__ = [
     "EstimateWithCI",
     "hill",
     "hill_trajectory",
     "quantile_estimator",
-    "empirical_quantile",
     "h_function",
     "h_minimizer",
     "spacing_sigma",
@@ -81,33 +80,36 @@ def hill_trajectory(h: HeavySample) -> np.ndarray:
     return hill(h, np.arange(1, h.n + 1))
 
 
-def _ceil_index(n: int, s: float) -> int:
-    """Smallest integer >= n*s, snapping to an integer within 1e-9."""
-    ns = n * s
-    nearest = round(ns)
-    if abs(ns - nearest) < 1e-9:
-        return int(nearest)
-    return int(math.ceil(ns))
+def _ceil_index(n: int, s):
+    """Smallest integer >= n*s, snapping to an integer within 1e-9; elementwise over an s array."""
+    ns = n * np.asarray(s, dtype=np.float64)
+    nearest = np.round(ns)
+    return np.where(np.abs(ns - nearest) < 1e-9, nearest, np.ceil(ns)).astype(np.int64)
 
 
-def quantile_estimator(r: RenyiSample, s: float) -> float:
-    """gamma_tilde(s) = x_{ceil(ns)} / (-log(1-s))."""
-    return empirical_quantile(r, s, which="log") / (-math.log1p(-s))
+def _quantile_terms(n: int, s) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based index ceil(ns) - 1 and the divisor -log(1-s) of gamma_tilde(s),
+    for a level or a 1-d grid of levels.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim > 1 or s.size == 0 or not np.all((0.0 < s) & (s < 1.0)):
+        raise ValueError("s must be a level or a nonempty 1-d grid in (0, 1)")
+    idx = _ceil_index(n, s)
+    if idx.min() < 1:
+        raise ValueError(f"ceil(n*s) = {idx.min()} must be at least 1")
+    return idx - 1, -np.log1p(-s)
 
 
-def empirical_quantile(r: RenyiSample, s: float, which: str = "log") -> float:
-    """Empirical quantile of the sample: on log scale (x itself) or level scale e^x."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie in (0, 1)")
-    idx = _ceil_index(r.n, s)
-    if idx < 1:
-        raise ValueError(f"ceil(n*s) = {idx} must be at least 1")
-    q1 = float(r.x[idx - 1])
-    if which == "log":
-        return q1
-    if which == "level":
-        return math.exp(q1)
-    raise ValueError(f"unknown quantile scale {which!r}")
+def quantile_estimator(x, s):
+    """gamma_tilde(s) = x_{ceil(ns)} / (-log(1-s)) on the log-scale sample x = log(w/C).
+
+    ``s`` is a level in (0, 1) (a float is returned) or a nonempty 1-d grid of
+    levels (one estimate per entry, each equal to the scalar call bit for bit).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    idx, denom = _quantile_terms(len(x), s)
+    gamma_tilde = x[idx] / denom
+    return float(gamma_tilde) if idx.ndim == 0 else gamma_tilde
 
 
 def h_function(s: float) -> float:
@@ -120,17 +122,10 @@ def h_function(s: float) -> float:
 def h_minimizer() -> tuple[float, float]:
     """Locate the unique minimum of h: the root of log(1/(1-s)) = 2s in (0, 1).
 
-    Bisection to 1e-10; returns (s0, h(s0)).
+    That is the nonzero root of 1 - s = e^(-2s), s0 = 1 + W0(-2e^-2)/2 with the
+    principal Lambert W branch; returns (s0, h(s0)).
     """
-    f = lambda s: -math.log1p(-s) - 2.0 * s
-    lo, hi = 0.5, 0.999  # f < 0 at 0.5, > 0 near 1; the root at 0 is excluded
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    s0 = 0.5 * (lo + hi)
+    s0 = 1.0 + 0.5 * float(lambertw(-2.0 * math.exp(-2.0)).real)
     return s0, h_function(s0)
 
 
@@ -139,13 +134,14 @@ def spacing_sigma(h: HeavySample, k):
 
     ``k`` is an int >= 2 (a float is returned) or a nonempty 1-d integer array of them.
     One pass of running sums c1 = sum z, c2 = sum z^2 serves every k:
-    var = (c2 - c1^2/k)/(k-1), clipped at 0 against roundoff.
+    var = (c2 - c1*c1/k)/(k-1), clipped at 0 against roundoff.  c1*c1 rather than
+    c1**2: numpy squares a 0-d scalar and an array element differently in the last bit.
     """
     ks, kmax = _check_k(h.n, k, minimum=2)
     zhat = scaled_log_spacings(h)[:kmax]
     c1 = np.cumsum(zhat)[ks - 1]
     c2 = np.cumsum(zhat * zhat)[ks - 1]
-    sigma = np.sqrt(np.maximum((c2 - c1**2 / ks) / (ks - 1), 0.0))
+    sigma = np.sqrt(np.maximum((c2 - c1 * c1 / ks) / (ks - 1), 0.0))
     return float(sigma) if ks.ndim == 0 else sigma
 
 

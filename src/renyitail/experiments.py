@@ -29,12 +29,7 @@ from .rand_models import (
     replication_map,
     support,
 )
-from .renyi import (
-    HeavySample,
-    cross_moment_recursion,
-    generalized_renyi,
-    heavy_sample,
-)
+from .renyi import HeavySample, cross_moment_recursion, heavy_sample
 
 __all__ = [
     "DEFAULT_SEED",
@@ -210,7 +205,7 @@ def _meta(cfg: ExperimentConfig) -> dict:
 def _heavy_for(spec: DistributionSpec, rng, n: int, scale_c: float) -> HeavySample:
     """Model sample for spacing laws; sorted iid draws for comparison laws."""
     if spec.is_spacing_law:
-        return heavy_sample(generalized_renyi(draw(spec, rng, n)), scale_c)
+        return heavy_sample(draw(spec, rng, n), scale_c)
     w = np.sort(draw(spec, rng, n))
     return HeavySample(scale_c=support(spec)[0], w=w)
 
@@ -225,8 +220,7 @@ def run_variance_curve(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     s_grid = cfg.s_grid if cfg.s_grid is not None else default_s_grid()
     cfg = replace(cfg, s_grid=s_grid)
     n = cfg.n
-    idx = np.array([estimators._ceil_index(n, s) for s in s_grid]) - 1
-    denom = -np.log1p(-np.asarray(s_grid))
+    idx, denom = estimators._quantile_terms(n, s_grid)
     weights = 1.0 / np.arange(n, 0, -1)
 
     columns = ["s", "h"] + [s.canonical() for s in cfg.specs]

@@ -58,9 +58,6 @@ class DensityModel:
                 - math.lgamma(r)
         return float(out[0]) if scalar else out
 
-    def density(self, x):
-        return np.exp(self.log_density(x))
-
 
 def _ordered_log_density(model: DensityModel, n: int, y: np.ndarray) -> float:
     k = len(y)

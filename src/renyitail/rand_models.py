@@ -98,10 +98,6 @@ class DistributionSpec:
         return self.kind in SPACING_KINDS
 
     @property
-    def is_continuous(self) -> bool:
-        return self.kind in ("exp", "unif", "gamma", "pareto", "hall")
-
-    @property
     def mean(self) -> float:
         return moment(self, 1)
 
@@ -195,9 +191,6 @@ class SeedSpec:
             raise ValueError("master_seed must fit in 64 unsigned bits")
         if not 0 <= int(self.stream_index) < 2**64:
             raise ValueError("stream_index must fit in 64 unsigned bits")
-
-    def with_stream(self, stream_index: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, stream_index)
 
     def generator(self) -> Generator:
         return next(_streams(self.master_seed, (self.stream_index,)))

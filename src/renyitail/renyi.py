@@ -19,32 +19,15 @@ import numpy as np
 from .rand_models import DistributionSpec, cf, moment
 
 __all__ = [
-    "RenyiSample",
     "HeavySample",
     "generalized_renyi",
     "heavy_sample",
-    "heavy_sample_from_sorted",
     "scaled_log_spacings",
     "permuted_view",
     "psi_n",
     "moment_recursion",
     "cross_moment_recursion",
 ]
-
-
-@dataclass(frozen=True)
-class RenyiSample:
-    """A realization x_1 <= ... <= x_n together with its generating z's."""
-
-    n: int
-    z: np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=np.float64))
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
-        if self.n < 1 or len(self.z) != self.n or len(self.x) != self.n:
-            raise ValueError("inconsistent sample sizes")
 
 
 @dataclass(frozen=True)
@@ -82,48 +65,43 @@ class HeavySample:
         return zhat
 
 
-def generalized_renyi(z) -> RenyiSample:
-    """Build x_k = sum_{j<=k} z_j/(n+1-j) by an index-ordered prefix sum."""
+def generalized_renyi(z) -> np.ndarray:
+    """x_k = sum_{j<=k} z_j/(n+1-j), by an index-ordered prefix sum."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or len(z) == 0:
         raise ValueError("z must be a nonempty 1-d sequence")
-    n = len(z)
-    x = np.cumsum(z / np.arange(n, 0, -1))
+    x = np.cumsum(z / np.arange(len(z), 0, -1))
     if not math.isfinite(x[-1]):  # a NaN or inf in z reaches the last prefix sum
         raise ValueError("z must be finite, with prefix sums that do not overflow")
-    return RenyiSample(n=n, z=z, x=x)
+    return x
 
 
-def heavy_sample(r: RenyiSample, scale_c: float) -> HeavySample:
-    """w_k = C exp(x_k); requires nonnegative z so that w is ordered."""
-    if np.any(r.z < 0):
+def heavy_sample(z, scale_c: float) -> HeavySample:
+    """w_k = C exp(x_k) from the spacings z; requires nonnegative z so that w is ordered."""
+    z = np.asarray(z, dtype=np.float64)
+    x = generalized_renyi(z)
+    if np.any(z < 0):
         raise ValueError("model violation: spacings must be nonnegative")
-    if not scale_c > 0:
-        raise ValueError("scale C must be positive")
-    return HeavySample(scale_c=scale_c, w=scale_c * np.exp(r.x))
-
-
-def heavy_sample_from_sorted(w, scale_c: float) -> HeavySample:
-    """Wrap an already sorted positive data column (iid comparison path)."""
-    return HeavySample(scale_c=scale_c, w=np.asarray(w, dtype=np.float64))
+    return HeavySample(scale_c=scale_c, w=scale_c * np.exp(x))
 
 
 def scaled_log_spacings(h: HeavySample) -> np.ndarray:
     """Recover zhat_k = (n-k+1)(log w_k - log w_{k-1}) with w_0 = C (read-only,
     computed once per sample).
 
-    Exact inverse of heavy_sample(generalized_renyi(z), C) up to roundoff.
+    Exact inverse of heavy_sample(z, C) up to roundoff.
     """
     return h.zhat
 
 
-def permuted_view(r: RenyiSample, perm) -> np.ndarray:
+def permuted_view(x, perm) -> np.ndarray:
     """Reorder x by a permutation of 1..n (1-based, as generated)."""
+    x = np.asarray(x)
     perm = np.asarray(perm)
-    n = r.n
+    n = len(x)
     if len(perm) != n or not np.array_equal(np.sort(perm), np.arange(1, n + 1)):
         raise ValueError("perm must be a bijection on 1..n")
-    return r.x[perm - 1]
+    return x[perm - 1]
 
 
 def psi_n(spec: DistributionSpec, n: int, t: float) -> complex:

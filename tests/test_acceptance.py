@@ -67,10 +67,10 @@ def test_criterion_4_pareto_equivalence():
     exp_spec, par_spec = rm.exponential(g), rm.strict_pareto(g, 1.0)
     for i in range(seeds):
         z = rm.sample(exp_spec, rm.SeedSpec(404, i), n)
-        h = renyi.heavy_sample(renyi.generalized_renyi(z), 1.0)
+        h = renyi.heavy_sample(z, 1.0)
         hill_model[i] = est.hill(h, n)
         w = np.sort(rm.sample(par_spec, rm.SeedSpec(505, i), n))
-        hill_iid[i] = est.hill(renyi.heavy_sample_from_sorted(w, 1.0), n)
+        hill_iid[i] = est.hill(renyi.HeavySample(1.0, w), n)
     d = ks_statistic_two_sample(hill_model, hill_iid)
     crit = ks_critical_two_sample(0.01, seeds, seeds)
     _report(4, "strict-Pareto equivalence of the construction", d < crit,
@@ -127,7 +127,7 @@ def test_criterion_8_likelihood_identities():
     for trial in range(20):
         n = int(rng.integers(50, 400))
         z = rng.gamma(2.0, 0.5 / 2.0, n)
-        h = renyi.heavy_sample(renyi.generalized_renyi(z), 1.0)
+        h = renyi.heavy_sample(z, 1.0)
         k = int(rng.integers(2, n + 1))
         hill_val = est.hill(h, k)
         worst = max(worst, abs(lk.ml_fit("exponential", h, k) - hill_val))

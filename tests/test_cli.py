@@ -35,6 +35,7 @@ def test_rate_iid(capsys):
     code, out, _ = _run(capsys, "rate", "--family", "iid", "--c", "0.9")
     assert code == 0
     row = _parse_csv(out)[0]
+    assert row["r"] == "1.0"
     assert float(row["upper_rate"]) == pytest.approx(-0.9 + math.log(1.9), abs=1e-9)
 
 
@@ -100,6 +101,17 @@ def test_estimate_unsorted_exit_1_with_line(tmp_path, capsys):
     code, _, err = _run(capsys, "estimate", str(data), "--method", "hill", "--c", "1")
     assert code == 1
     assert ":3:" in err  # the decreasing pair is reported at line 3
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("text, line", [("1\n4\n2\n", 3), ("1\n\n4\n2\n", 4),
+                                        ("\n1\n 4\n\n\n3\n5\n", 6)])
+def test_estimate_unsorted_reports_the_line(source, text, line, tmp_path, monkeypatch, capsys):
+    code, out, err, where = _estimate_from(source, text, tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (f"renyitail: error: {where}:{line}: data decreases here; "
+                   "pass --allow-unsorted to sort\n")
 
 
 def test_estimate_allow_unsorted(tmp_path, capsys):
@@ -288,6 +300,50 @@ def test_read_column_padding_and_blank_lines(source, tmp_path, monkeypatch, caps
         code, out, _, _ = _estimate_from(source, text, tmp_path, monkeypatch, capsys, *flags)
         assert code == 0
         assert out.split("\r\n")[1:] == plain.split("\r\n")[1:]  # all but the invocation
+
+
+IGNORED_FLAGS = [
+    (("estimate", "-", "--method", "quantile", "--k", "2", "--c", "1"),
+     "--k has no effect with --method quantile"),
+    (("estimate", "-", "--method", "quantile", "--interval", "self", "--c", "1"),
+     "--interval has no effect with --method quantile"),
+    (("estimate", "-", "--method", "ml-uniform", "--interval", "none", "--c", "1"),
+     "--interval has no effect with --method ml-uniform"),
+    (("estimate", "-", "--s", "0.5", "--c", "1"), "--s has no effect with --method hill"),
+    (("estimate", "-", "--method", "ml-uniform", "--s", "0.5", "--c", "1"),
+     "--s has no effect with --method ml-uniform"),
+    (("fit", "-", "--family", "exponential", "--r", "2", "--c", "1"),
+     "--r has no effect with --family exponential"),
+    (("fit", "-", "--family", "uniform", "--r", "2", "--c", "1"),
+     "--r has no effect with --family uniform"),
+    (("rate", "--family", "iid", "--r", "3", "--c", "0.5"), "--r has no effect with --family iid"),
+    (("rate", "--spec", "exp:gamma=1", "--z", "2", "--r", "3"), "--r has no effect without --family"),
+    (("rate", "--spec", "exp:gamma=1", "--z", "2", "--c", "0.5"),
+     "--c has no effect without --family"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [pytest.param(*case, id=" ".join(case[0]))
+                                           for case in IGNORED_FLAGS])
+def test_ignored_flag_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_flags_the_method_reads_are_accepted(tmp_path, capsys):
+    data = tmp_path / "w.txt"
+    data.write_text("1\n2\n4\n8\n")
+    for argv in (("--method", "hill", "--k", "3", "--interval", "self"),
+                 ("--method", "quantile", "--s", "0.5"),
+                 ("--method", "ml-uniform", "--k", "2")):
+        code, out, _ = _run(capsys, "estimate", str(data), "--c", "1", *argv)
+        assert code == 0
+    assert _parse_csv(out)[0]["interval_method"] == "none"
+    code, out, _ = _run(capsys, "rate", "--family", "gamma", "--c", "0.5")
+    assert code == 0
+    assert _parse_csv(out)[0]["r"] == "1.0"
 
 
 @pytest.mark.parametrize("argv", [

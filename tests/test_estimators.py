@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
 from renyitail import estimators as est
 from renyitail import rand_models as rm
-from renyitail.renyi import HeavySample, RenyiSample, generalized_renyi, heavy_sample
+from renyitail.experiments import default_s_grid
+from renyitail.renyi import HeavySample, heavy_sample
 
 
 def _heavy(w, c=1.0):
@@ -38,7 +39,7 @@ def test_hill_spacing_equals_log_average_form():
         n = int(rng.integers(2, 400))
         c = float(rng.random() + 0.1)
         z = rng.random(n) * 5.0
-        h = heavy_sample(generalized_renyi(z), c)
+        h = heavy_sample(z, c)
         k = int(rng.integers(1, n + 1))
         spacing_form = est.hill(h, k)
         anchor = math.log(c) if k == h.n else math.log(h.w[h.n - k - 1])
@@ -49,7 +50,7 @@ def test_hill_spacing_equals_log_average_form():
 def test_hill_scale_invariance():
     rng = np.random.default_rng(18)
     z = rng.random(50)
-    h = heavy_sample(generalized_renyi(z), 1.0)
+    h = heavy_sample(z, 1.0)
     for scale in (0.25, 3.0, 1e6):
         hs = HeavySample(scale_c=scale * h.scale_c, w=scale * h.w)
         for k in (1, 20, 50):
@@ -59,7 +60,7 @@ def test_hill_scale_invariance():
 def test_hill_equals_mean_of_top_spacings_sample_by_sample():
     rng = np.random.default_rng(19)
     z = rng.exponential(0.5, 300)
-    h = heavy_sample(generalized_renyi(z), 2.0)
+    h = heavy_sample(z, 2.0)
     for k in (1, 7, 150, 300):
         assert est.hill(h, k) == pytest.approx(float(np.mean(z[300 - k:])), rel=1e-10)
 
@@ -104,7 +105,7 @@ def test_hill_clt(law):
 
 def test_hill_trajectory_matches_pointwise():
     rng = np.random.default_rng(44)
-    h = heavy_sample(generalized_renyi(rng.random(60)), 1.0)
+    h = heavy_sample(rng.random(60), 1.0)
     traj = est.hill_trajectory(h)
     for k in (1, 2, 30, 60):
         assert traj[k - 1] == pytest.approx(est.hill(h, k), rel=1e-12)
@@ -114,34 +115,55 @@ def test_hill_trajectory_matches_pointwise():
 @given(z=st.lists(st.floats(0.0, 100.0), min_size=2, max_size=300),
        c=st.floats(0.01, 100.0), data=st.data())
 def test_k_grid_equals_scalar_calls_bit_for_bit(z, c, data):
-    h = heavy_sample(generalized_renyi(z), c)
+    h = heavy_sample(z, c)
     ks = np.array(data.draw(st.lists(st.integers(1, h.n), min_size=1, max_size=20)))
     assert np.array_equal(est.hill(h, ks), [est.hill(h, int(k)) for k in ks])
     ks = np.array(data.draw(st.lists(st.integers(2, h.n), min_size=1, max_size=20)))
     assert np.array_equal(est.spacing_sigma(h, ks), [est.spacing_sigma(h, int(k)) for k in ks])
 
 
+def test_spacing_sigma_scalar_equals_grid_regression():
+    # c1**2 on a 0-d numpy scalar rounded differently from the same square in an array
+    h = heavy_sample([6.0, 5.1, 0.9, 1.3], 1.0)
+    assert est.spacing_sigma(h, 3) == est.spacing_sigma(h, np.array([3]))[0] == 2.7221315177632386
+
+
 def test_quantile_estimator_hand_value():
-    r = RenyiSample(n=4, z=np.zeros(4), x=np.array([0.1, math.log(2.0), 1.0, 2.0]))
-    assert est.quantile_estimator(r, 0.5) == pytest.approx(1.0, rel=1e-12)
+    x = np.array([0.1, math.log(2.0), 1.0, 2.0])
+    assert est.quantile_estimator(x, 0.5) == pytest.approx(1.0, rel=1e-12)
+    assert type(est.quantile_estimator(x, 0.5)) is float
 
 
 def test_quantile_estimator_zero_sample():
-    r = RenyiSample(n=4, z=np.zeros(4), x=np.zeros(4))
-    assert est.quantile_estimator(r, 0.3) == 0.0
+    assert est.quantile_estimator(np.zeros(4), 0.3) == 0.0
 
 
 def test_quantile_estimator_domain():
-    r = RenyiSample(n=4, z=np.zeros(4), x=np.zeros(4))
-    for bad in (0.0, 1.0, -0.1):
+    x = np.zeros(4)
+    for bad in (0.0, 1.0, -0.1, math.nan, np.array([0.5, 1.0]), np.array([[0.5]]),
+                np.array([])):
         with pytest.raises(ValueError):
-            est.quantile_estimator(r, bad)
+            est.quantile_estimator(x, bad)
 
 
-def test_empirical_quantile_level_scale():
-    r = RenyiSample(n=2, z=np.zeros(2), x=np.array([0.5, 1.5]))
-    assert est.empirical_quantile(r, 0.4, which="log") == 0.5
-    assert est.empirical_quantile(r, 0.4, which="level") == pytest.approx(math.exp(0.5))
+def _ceil_index_reference(n, s):
+    """The scalar rule: ceil(n*s), snapped to the nearest integer within 1e-9."""
+    ns = n * s
+    nearest = round(ns)
+    return nearest if abs(ns - nearest) < 1e-9 else math.ceil(ns)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(x=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300).map(sorted),
+       grid=st.lists(st.floats(1e-6, 1.0, exclude_max=True), min_size=1, max_size=20))
+@example(x=np.cumsum(np.full(1000, 0.001)).tolist(), grid=list(default_s_grid()))
+def test_quantile_grid_equals_scalar_calls_bit_for_bit(x, grid):
+    x = np.array(x)
+    grid = np.array(grid)
+    values = est.quantile_estimator(x, grid)
+    for s, value in zip(grid.tolist(), values):
+        scalar = est.quantile_estimator(x, s)
+        assert value == scalar == x[_ceil_index_reference(len(x), s) - 1] / -np.log1p(-s)
 
 
 def test_ceil_index_grid_guard():
@@ -207,7 +229,7 @@ def test_spacing_sigma_consistency(law, sd):
     n, g = 5000, 0.5
     rng = np.random.default_rng(47)
     z = rng.exponential(g, n) if law == "exp" else (rng.random(n) < g).astype(float)
-    h = heavy_sample(generalized_renyi(z), 1.0)
+    h = heavy_sample(z, 1.0)
     assert abs(est.spacing_sigma(h, n) - sd) <= 0.02
 
 
@@ -224,7 +246,7 @@ def test_spacing_sigma_matches_two_pass_std(law, seed, n, data):
         z = (rng.random(n) < 0.5).astype(float)
     else:
         z = rng.gamma(2.0, 0.25, n)
-    h = heavy_sample(generalized_renyi(z), 1.0)
+    h = heavy_sample(z, 1.0)
     k = data.draw(st.integers(20, n))
     zhat = est.scaled_log_spacings(h)[:k]
     assert est.spacing_sigma(h, k) == pytest.approx(np.std(zhat, ddof=1), rel=1e-12)
@@ -265,7 +287,7 @@ def test_ci_eps_domain():
 def test_ml_uniform_hand_value():
     # top-3 scaled spacings (0.2, 0.8, 0.5) -> half the max = 0.4
     z = np.array([0.3, 0.1, 0.2, 0.8, 0.5])
-    h = heavy_sample(generalized_renyi(z), 1.0)
+    h = heavy_sample(z, 1.0)
     assert est.ml_uniform(h, 3) == pytest.approx(0.4, rel=1e-12)
 
 

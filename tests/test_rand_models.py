@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from renyitail import rand_models as rm
@@ -192,11 +194,29 @@ def test_distinct_streams_differ():
     assert len(set(streams)) == 50
 
 
-def test_parse_round_trip():
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_SPECS = st.one_of(
+    st.builds(rm.exponential, _POSITIVE),
+    st.builds(rm.uniform, _POSITIVE),
+    st.builds(rm.bernoulli, st.floats(0.0, 1.0, exclude_min=True)),
+    st.builds(rm.gamma_law, _POSITIVE, _POSITIVE),
+    st.builds(rm.strict_pareto, _POSITIVE, _POSITIVE),
+    st.just(rm.hall_class()),
+)
+
+
+def _parse_examples(test):
     for text in ("exp:gamma=0.5", "unif:gamma=0.5", "bern:gamma=0.5",
                  "gamma:r=2,gamma=0.5", "pareto:gamma=0.5,c=1", "hall"):
-        spec = rm.parse_spec(text)
-        assert rm.parse_spec(spec.canonical()) == spec
+        test = example(spec=rm.parse_spec(text))(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spec=_SPECS)
+@_parse_examples
+def test_parse_round_trip(spec):
+    assert rm.parse_spec(spec.canonical()) == spec
 
 
 def test_parse_case_insensitive():

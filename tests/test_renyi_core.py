@@ -4,20 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from renyitail import rand_models as rm
 from renyitail import renyi
 
 
 def test_generalized_renyi_zero_case():
-    r = renyi.generalized_renyi([0.0, 0.0, 0.0])
-    assert np.array_equal(r.x, np.zeros(3))
+    x = renyi.generalized_renyi([0.0, 0.0, 0.0])
+    assert np.array_equal(x, np.zeros(3))
 
 
 def test_generalized_renyi_hand_value():
-    r = renyi.generalized_renyi([1.0, 1.0, 1.0])
+    x = renyi.generalized_renyi([1.0, 1.0, 1.0])
     expected = np.array([1.0 / 3.0, 1.0 / 3.0 + 0.5, 1.0 / 3.0 + 0.5 + 1.0])
-    assert np.allclose(r.x, expected, rtol=1e-15)
+    assert np.allclose(x, expected, rtol=1e-15)
 
 
 def test_generalized_renyi_empty_rejected():
@@ -50,28 +52,25 @@ def test_exponential_minimum_matches_order_statistic_law():
 
 
 def test_heavy_sample_hand_value():
-    r = renyi.generalized_renyi([0.0, math.log(2.0) * 1.0])
     # x = (0, log 2) needs z = (0, log 2) at n = 2
-    h = renyi.heavy_sample(r, 2.0)
+    h = renyi.heavy_sample([0.0, math.log(2.0) * 1.0], 2.0)
     assert np.allclose(h.w, [2.0, 4.0], rtol=1e-15)
 
 
 def test_heavy_sample_constant():
-    r = renyi.generalized_renyi(np.zeros(5))
-    h = renyi.heavy_sample(r, 1.0)
+    h = renyi.heavy_sample(np.zeros(5), 1.0)
     assert np.all(h.w == 1.0)
 
 
 def test_heavy_sample_rejects_negative_spacings():
-    r = renyi.generalized_renyi([0.5, -0.1, 0.2])
-    with pytest.raises(ValueError):
-        renyi.heavy_sample(r, 1.0)
+    with pytest.raises(ValueError, match="model violation"):
+        renyi.heavy_sample([0.5, -0.1, 0.2], 1.0)
 
 
 def test_heavy_sample_rejects_bad_scale():
-    r = renyi.generalized_renyi([0.5, 0.1])
-    with pytest.raises(ValueError):
-        renyi.heavy_sample(r, 0.0)
+    for c in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="scale C must be positive"):
+            renyi.heavy_sample([0.5, 0.1], c)
 
 
 def test_pareto_correspondence():
@@ -88,13 +87,24 @@ def test_pareto_correspondence():
     assert ks < 1.63 / math.sqrt(reps)
 
 
-def test_round_trip_identity():
+def _round_trip_examples(test):
+    """The fixed cases: five uniform(0, 10) samples (n = 1 .. 1e4) and C in [0.5, 1.5) from seed 21."""
     rng = np.random.default_rng(21)
     for n in (1, 2, 17, 1000, 10**4):
         z = rng.random(n) * 10.0
-        h = renyi.heavy_sample(renyi.generalized_renyi(z), float(rng.random() + 0.5))
-        zhat = renyi.scaled_log_spacings(h)
-        assert np.max(np.abs(zhat - z)) <= 1e-12 * np.max(np.abs(z))
+        test = example(z=z.tolist(), c=float(rng.random() + 0.5))(test)
+    return test
+
+
+# The roundoff is absolute, about n ulps of log w, so the bound relative to max z
+# is drawn only on samples whose largest spacing is at least 1.
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(z=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=1000).filter(lambda z: max(z) >= 1.0),
+       c=st.floats(0.5, 1.5))
+@_round_trip_examples
+def test_round_trip_identity(z, c):
+    zhat = renyi.scaled_log_spacings(renyi.heavy_sample(z, c))
+    assert np.max(np.abs(zhat - z)) <= 1e-12 * np.max(np.abs(z))
 
 
 def test_scaled_log_spacings_hand_value():
@@ -108,7 +118,7 @@ def test_scaled_log_spacings_constant():
 
 
 def test_scaled_log_spacings_read_only_and_computed_once():
-    h = renyi.heavy_sample(renyi.generalized_renyi([0.5, 0.1, 0.2]), 1.0)
+    h = renyi.heavy_sample([0.5, 0.1, 0.2], 1.0)
     zhat = renyi.scaled_log_spacings(h)
     assert renyi.scaled_log_spacings(h) is zhat
     for arr in (zhat, h.w):
@@ -136,28 +146,28 @@ def test_generalized_renyi_rejects_non_finite(z):
 def test_monotone_for_nonnegative_spacings():
     rng = np.random.default_rng(34)
     z = rng.random(500) * 3.0
-    r = renyi.generalized_renyi(z)
-    h = renyi.heavy_sample(r, 0.7)
-    assert np.all(np.diff(r.x) >= 0.0)
+    x = renyi.generalized_renyi(z)
+    h = renyi.heavy_sample(z, 0.7)
+    assert np.all(np.diff(x) >= 0.0)
     assert np.all(np.diff(h.w) >= 0.0)
     assert np.all(h.w >= 0.7)
 
 
 def test_permuted_view():
-    r = renyi.generalized_renyi([1.0, 2.0, 3.0])
-    assert np.array_equal(renyi.permuted_view(r, [1, 2, 3]), r.x)
-    r2 = renyi.generalized_renyi([1.0, 2.0])
-    assert np.array_equal(renyi.permuted_view(r2, [2, 1]), r2.x[::-1])
+    x = renyi.generalized_renyi([1.0, 2.0, 3.0])
+    assert np.array_equal(renyi.permuted_view(x, [1, 2, 3]), x)
+    x2 = renyi.generalized_renyi([1.0, 2.0])
+    assert np.array_equal(renyi.permuted_view(x2, [2, 1]), x2[::-1])
     perm = rm.random_permutation(3, rm.SeedSpec(5))
-    assert np.mean(renyi.permuted_view(r, perm)) == pytest.approx(np.mean(r.x), rel=1e-15)
+    assert np.mean(renyi.permuted_view(x, perm)) == pytest.approx(np.mean(x), rel=1e-15)
 
 
 def test_permuted_view_rejects_non_bijection():
-    r = renyi.generalized_renyi([1.0, 2.0, 3.0])
+    x = renyi.generalized_renyi([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        renyi.permuted_view(r, [1, 1, 3])
+        renyi.permuted_view(x, [1, 1, 3])
     with pytest.raises(ValueError):
-        renyi.permuted_view(r, [0, 1, 2])
+        renyi.permuted_view(x, [0, 1, 2])
 
 
 # --- psi_n -----------------------------------------------------------------
