@@ -32,7 +32,6 @@ from .experiments import (
     run_ld_check,
     run_variance_curve,
 )
-from .gof import ks_critical, ks_critical_two_sample, ks_statistic, ks_statistic_two_sample
 from .large_deviations import (
     MCTailResult,
     exact_hill_tail,

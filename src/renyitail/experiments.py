@@ -12,14 +12,13 @@ import csv
 import io
 import json
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
 from . import estimators
-from .gof import ks_critical, ks_statistic
 from .large_deviations import _tail_rate, exact_hill_tail, mc_tail_logprob
 from .rand_models import (
     DistributionSpec,
@@ -48,8 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 7
-
-EXPERIMENTS = ("variance_curve", "hill_plot", "coverage", "exp_limit", "ld_check")
 
 
 def default_s_grid() -> tuple[float, ...]:
@@ -86,7 +83,7 @@ class ExperimentConfig:
     avg_seeds: int = 1
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _RUNNERS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         specs = tuple(parse_spec(s) if isinstance(s, str) else s for s in self.specs)
         if not specs:
@@ -120,29 +117,13 @@ class ExperimentConfig:
             object.__setattr__(self, "n_grid", ng)
 
     def to_text(self) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "specs": [s.canonical() for s in self.specs],
-            "n": self.n,
-            "reps": self.reps,
-            "eps": self.eps,
-            "master_seed": self.master_seed,
-            "scale_c": self.scale_c,
-            "s_grid": list(self.s_grid) if self.s_grid is not None else None,
-            "k_grid": list(self.k_grid) if self.k_grid is not None else None,
-            "n_grid": list(self.n_grid) if self.n_grid is not None else None,
-            "y": self.y,
-            "avg_seeds": self.avg_seeds,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["specs"] = [s.canonical() for s in self.specs]
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        d = json.loads(text)
-        for key in ("specs", "s_grid", "k_grid", "n_grid"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
-        return cls(**d)
+        return cls(**json.loads(text))  # __post_init__ turns the lists back into tuples
 
 
 @dataclass
@@ -152,7 +133,6 @@ class ReportTable:
     columns: list[str]
     rows: list[tuple]
     meta: dict
-    wall_time_s: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if set(map(len, self.rows)) - {len(self.columns)}:
@@ -210,43 +190,59 @@ def _heavy_for(spec: DistributionSpec, rng, n: int, scale_c: float) -> HeavySamp
     return HeavySample(scale_c=support(spec)[0], w=w)
 
 
+def _per_law(cfg: ExperimentConfig, one_rep, reps: int, workers: int, suffix: str = ""):
+    """Yield each law of the config with the results of ``reps`` calls of
+    ``one_rep(law, rng)``, on the stream tag ``{experiment}/{law}{suffix}``."""
+    for spec in cfg.specs:
+        yield spec, replication_map(partial(one_rep, spec), reps, cfg.master_seed,
+                                    f"{cfg.experiment}/{spec.canonical()}{suffix}",
+                                    workers=workers)
+
+
+def _rows(keys, columns) -> list[tuple]:
+    """One row per key: the key, then its entry in each column."""
+    return [(key, *(col[j] for col in columns)) for j, key in enumerate(keys)]
+
+
+def _require_spacing_laws(cfg: ExperimentConfig) -> None:
+    if any(not s.is_spacing_law for s in cfg.specs):
+        raise ValueError(f"{cfg.experiment} requires spacing laws")
+
+
+def _ks_critical(alpha: float, n: int) -> float:
+    """Asymptotic one-sample KS critical value c/sqrt(n), where c solves
+    P(D > c/sqrt(n)) ~ 2 exp(-2c^2) = alpha; c(0.01) = 1.628."""
+    return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
+
+
 def run_variance_curve(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     """Empirical variance of sqrt(n)(gamma_tilde(s) - gamma)/sd(Z) over the
     s grid, one column per spacing law, next to the theoretical h(s).
     """
-    t0 = time.perf_counter()
-    if any(not s.is_spacing_law for s in cfg.specs):
-        raise ValueError("variance curve requires spacing laws")
+    _require_spacing_laws(cfg)
     s_grid = cfg.s_grid if cfg.s_grid is not None else default_s_grid()
     cfg = replace(cfg, s_grid=s_grid)
     n = cfg.n
     idx, denom = estimators._quantile_terms(n, s_grid)
     weights = 1.0 / np.arange(n, 0, -1)
 
-    columns = ["s", "h"] + [s.canonical() for s in cfg.specs]
-    variance_cols = []
+    def one_rep(spec, rng):
+        x = np.cumsum(draw(spec, rng, n) * weights)
+        return x[idx] / denom
+
     degenerate = cfg.reps < 2
-    for spec in cfg.specs:
-        g, sd = spec.gamma, math.sqrt(spec.variance)
-
-        def one_rep(rng, _spec=spec):
-            x = np.cumsum(draw(_spec, rng, n) * weights)
-            return x[idx] / denom
-
-        vals = replication_map(one_rep, cfg.reps, cfg.master_seed,
-                               f"variance_curve/{spec.canonical()}", workers=workers)
-        scaled = math.sqrt(n) * (vals - g) / sd
+    cols = [[estimators.h_function(s) for s in s_grid]]
+    for spec, vals in _per_law(cfg, one_rep, cfg.reps, workers):
+        scaled = math.sqrt(n) * (vals - spec.gamma) / math.sqrt(spec.variance)
         if degenerate:
-            variance_cols.append(np.zeros(len(s_grid)))
+            cols.append(np.zeros(len(s_grid)))
         else:
-            variance_cols.append(np.var(scaled, axis=0, ddof=1))
-    rows = []
-    for j, s in enumerate(s_grid):
-        rows.append((s, estimators.h_function(s), *(col[j] for col in variance_cols)))
+            cols.append(np.var(scaled, axis=0, ddof=1))
+    columns = ["s", "h"] + [s.canonical() for s in cfg.specs]
     meta = _meta(cfg)
     if degenerate:
         meta["degenerate_variance"] = True
-    return ReportTable(columns, rows, meta, wall_time_s=time.perf_counter() - t0)
+    return ReportTable(columns, _rows(s_grid, cols), meta)
 
 
 def run_hill_plot(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
@@ -256,58 +252,42 @@ def run_hill_plot(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     sampled iid and sorted.  With avg_seeds > 1 the trajectory is averaged
     over that many independent realizations.
     """
-    t0 = time.perf_counter()
     n = cfg.n
+
+    def one_rep(spec, rng):
+        return estimators.hill_trajectory(_heavy_for(spec, rng, n, cfg.scale_c))
+
+    trajs = [np.mean(vals, axis=0) for _, vals in _per_law(cfg, one_rep, cfg.avg_seeds, workers)]
     columns = ["k"] + [s.canonical() for s in cfg.specs]
-    trajs = []
-    for spec in cfg.specs:
-
-        def one_rep(rng, _spec=spec):
-            return estimators.hill_trajectory(_heavy_for(_spec, rng, n, cfg.scale_c))
-
-        vals = replication_map(one_rep, cfg.avg_seeds, cfg.master_seed,
-                               f"hill_plot/{spec.canonical()}", workers=workers)
-        trajs.append(np.mean(vals, axis=0))
-    rows = [(k, *(tr[k - 1] for tr in trajs)) for k in range(1, n + 1)]
-    return ReportTable(columns, rows, _meta(cfg), wall_time_s=time.perf_counter() - t0)
+    return ReportTable(columns, _rows(range(1, n + 1), trajs), _meta(cfg))
 
 
 def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     """Fraction of replications whose interval covers gamma, per k and law,
     for both the spacing-variance and the self-normalized interval.
     """
-    t0 = time.perf_counter()
     k_grid = cfg.k_grid if cfg.k_grid is not None else default_k_grid(cfg.n)
     if any(k < 2 for k in k_grid):
         raise ValueError("coverage needs k >= 2 for the spacing variance")
     cfg = replace(cfg, k_grid=k_grid)
     n = cfg.n
     ks = np.asarray(k_grid)
+    sqrt_k = np.sqrt(ks)
     x_eps = estimators._x_eps(cfg.eps)
-    columns = ["k"]
-    cover_cols = []
-    for spec in cfg.specs:
-        g = spec.gamma
 
-        def one_rep(rng, _spec=spec, _g=g):
-            h = _heavy_for(_spec, rng, n, cfg.scale_c)
-            gh = estimators.hill(h, ks)
-            sig = estimators.spacing_sigma(h, ks)
-            dev = np.abs(gh - _g) * np.sqrt(ks)
-            return np.concatenate([(dev <= sig * x_eps), (dev <= gh * x_eps)])
+    def one_rep(spec, rng):
+        h = _heavy_for(spec, rng, n, cfg.scale_c)
+        gh = estimators.hill(h, ks)
+        sig = estimators.spacing_sigma(h, ks)
+        dev = np.abs(gh - spec.gamma) * sqrt_k
+        return np.concatenate([(dev <= sig * x_eps), (dev <= gh * x_eps)])
 
-        vals = replication_map(one_rep, cfg.reps, cfg.master_seed,
-                               f"coverage/{spec.canonical()}", workers=workers)
+    columns, cols = ["k"], []
+    for spec, vals in _per_law(cfg, one_rep, cfg.reps, workers):
         freq = np.mean(vals, axis=0)
-        cover_cols.append((freq[: len(ks)], freq[len(ks):]))
+        cols += [freq[: len(ks)], freq[len(ks):]]
         columns += [f"{spec.canonical()}_spacing", f"{spec.canonical()}_self"]
-    rows = []
-    for j, k in enumerate(k_grid):
-        cells = []
-        for new, self_ in cover_cols:
-            cells += [new[j], self_[j]]
-        rows.append((k, *cells))
-    return ReportTable(columns, rows, _meta(cfg), wall_time_s=time.perf_counter() - t0)
+    return ReportTable(columns, _rows(k_grid, cols), _meta(cfg))
 
 
 def run_exponential_limit(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
@@ -317,43 +297,38 @@ def run_exponential_limit(cfg: ExperimentConfig, workers: int = 1) -> ReportTabl
     empirical correlation of (X_{D1,n}, X_{D2,n}) for distinct random
     indices, and their product moment next to the exact recursion value.
     """
-    t0 = time.perf_counter()
-    if any(not s.is_spacing_law for s in cfg.specs):
-        raise ValueError("the exponential-limit check requires spacing laws")
+    # imported here: scipy.stats doubles the import time of the package,
+    # and no other code path needs it
+    from scipy import stats
+
+    _require_spacing_laws(cfg)
     n_grid = cfg.n_grid if cfg.n_grid is not None else default_n_grid()
     cfg = replace(cfg, n_grid=n_grid)
+    exact = {spec: cross_moment_recursion(spec, max(n_grid)) for spec in cfg.specs}
     columns = ["n", "ks_critical"]
     for spec in cfg.specs:
         tagc = spec.canonical()
         columns += [f"{tagc}_ks", f"{tagc}_corr", f"{tagc}_m11", f"{tagc}_m11_exact"]
     rows = []
-    per_spec_cn = {s: {} for s in cfg.specs}
-    for spec in cfg.specs:
-        cn = cross_moment_recursion(spec, max(n_grid))
-        for m in n_grid:
-            per_spec_cn[spec][m] = float(cn[m])
     for m in n_grid:
-        cells = [m, ks_critical(0.01, cfg.reps)]
-        for spec in cfg.specs:
-            g = spec.gamma
-            weights = 1.0 / np.arange(m, 0, -1)
+        weights = 1.0 / np.arange(m, 0, -1)
 
-            def one_rep(rng, _spec=spec, _w=weights, _m=m):
-                x = np.cumsum(draw(_spec, rng, _m) * _w)
-                i = int(rng.integers(_m))
-                j = int(rng.integers(_m - 1))
-                if j >= i:
-                    j += 1
-                return (x[i], x[j])
+        def one_rep(spec, rng):
+            x = np.cumsum(draw(spec, rng, m) * weights)
+            i = int(rng.integers(m))
+            j = int(rng.integers(m - 1))
+            if j >= i:
+                j += 1
+            return (x[i], x[j])
 
-            vals = replication_map(one_rep, cfg.reps, cfg.master_seed,
-                                   f"exp_limit/{spec.canonical()}/n={m}", workers=workers)
+        cells = [m, _ks_critical(0.01, cfg.reps)]
+        for spec, vals in _per_law(cfg, one_rep, cfg.reps, workers, suffix=f"/n={m}"):
             v1, v2 = vals[:, 0], vals[:, 1]
-            ks = ks_statistic(v1, lambda t: 1.0 - np.exp(-t / g))
-            corr = float(np.corrcoef(v1, v2)[0, 1])
-            cells += [ks, corr, float(np.mean(v1 * v2)), per_spec_cn[spec][m]]
+            ks = stats.kstest(v1, lambda t: 1.0 - np.exp(-t / spec.gamma)).statistic
+            cells += [float(ks), float(np.corrcoef(v1, v2)[0, 1]), float(np.mean(v1 * v2)),
+                      float(exact[spec][m])]
         rows.append(tuple(cells))
-    return ReportTable(columns, rows, _meta(cfg), wall_time_s=time.perf_counter() - t0)
+    return ReportTable(columns, rows, _meta(cfg))
 
 
 def run_ld_check(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
@@ -363,14 +338,12 @@ def run_ld_check(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     faked, when events are insufficient), the exact gamma-tail value where
     the spacing law admits one, and the limiting rate -inf_{x>=y} I(x).
     """
-    t0 = time.perf_counter()
     if len(cfg.specs) != 1:
         raise ValueError("the large-deviation check runs one spacing law at a time")
-    spec = cfg.specs[0]
-    if not spec.is_spacing_law:
-        raise ValueError("the large-deviation check requires a spacing law")
+    _require_spacing_laws(cfg)
     if cfg.y is None:
         raise ValueError("threshold y is required")
+    spec = cfg.specs[0]
     k_grid = cfg.k_grid if cfg.k_grid is not None else (5, 10, 20, 50, 100, 200, 400)
     cfg = replace(cfg, k_grid=tuple(k_grid))
     limit = -_tail_rate(spec, cfg.y)
@@ -382,15 +355,17 @@ def run_ld_check(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
         exact = exact_hill_tail(spec, k, cfg.y) / k if spec.kind in ("exp", "gamma") else None
         rows.append((k, res.estimate, res.std_error, res.events,
                      int(res.insufficient), exact, limit))
-    return ReportTable(columns, rows, _meta(cfg), wall_time_s=time.perf_counter() - t0)
+    return ReportTable(columns, rows, _meta(cfg))
+
+
+_RUNNERS = {
+    "variance_curve": run_variance_curve,
+    "hill_plot": run_hill_plot,
+    "coverage": run_coverage,
+    "exp_limit": run_exponential_limit,
+    "ld_check": run_ld_check,
+}
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
-    runner = {
-        "variance_curve": run_variance_curve,
-        "hill_plot": run_hill_plot,
-        "coverage": run_coverage,
-        "exp_limit": run_exponential_limit,
-        "ld_check": run_ld_check,
-    }[cfg.experiment]
-    return runner(cfg, workers=workers)
+    return _RUNNERS[cfg.experiment](cfg, workers=workers)

@@ -1,7 +1,10 @@
 """The public API: every exported name resolves."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -26,3 +29,11 @@ def test_package_exports_are_listed_in_module_all():
     for name in MODULES:
         listed.update(getattr(importlib.import_module(f"renyitail.{name}"), "__all__", ()))
     assert exported - listed == set()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats roughly doubles the import time; only the t1 runner loads it
+    code = ("import sys, renyitail, renyitail.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(renyitail.__file__))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

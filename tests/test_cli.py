@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -320,6 +321,11 @@ IGNORED_FLAGS = [
     (("rate", "--spec", "exp:gamma=1", "--z", "2", "--r", "3"), "--r has no effect without --family"),
     (("rate", "--spec", "exp:gamma=1", "--z", "2", "--c", "0.5"),
      "--c has no effect without --family"),
+    *[(("figure", "--id", fig, "--y", "2"), f"--y has no effect with --id {fig}")
+      for fig in ("1", "2", "3", "t1")],
+    *[(("figure", "--id", fig, "--avg-seeds", "2"), f"--avg-seeds has no effect with --id {fig}")
+      for fig in ("1", "3", "t1", "ld")],
+    (("figure", "--id", "t1", "--n", "50"), "--n has no effect with --id t1"),
 ]
 
 
@@ -344,6 +350,36 @@ def test_flags_the_method_reads_are_accepted(tmp_path, capsys):
     code, out, _ = _run(capsys, "rate", "--family", "gamma", "--c", "0.5")
     assert code == 0
     assert _parse_csv(out)[0]["r"] == "1.0"
+
+
+def _config(out):
+    return json.loads(out.split("# config=", 1)[1].split("\r\n", 1)[0])
+
+
+def test_figure_reads_its_flags(capsys):
+    code, out, _ = _run(capsys, "figure", "--id", "2", "--n", "50", "--avg-seeds", "2")
+    assert code == 0
+    config = _config(out)
+    assert config["avg_seeds"] == 2 and config["y"] is None
+    # ld ignores --n but accepts it (the benchmark passes it)
+    code, out, _ = _run(capsys, "figure", "--id", "ld", "--n", "50", "--reps", "50", "--y", "2")
+    assert code == 0
+    config = _config(out)
+    assert config["y"] == 2.0 and config["avg_seeds"] == 1
+
+
+def test_figure_t1_paper_scale_names_the_n_it_runs(capsys):
+    code, out, _ = _run(capsys, "figure", "--id", "t1", "--paper-scale", "--reps", "200")
+    assert code == 0
+    config = _config(out)
+    assert config["n"] == max(int(row["n"]) for row in _parse_csv(out))
+
+
+def test_figure_reports_wall_time_on_stderr(capsys):
+    code, out, err = _run(capsys, "figure", "--id", "1", "--n", "50", "--reps", "5")
+    assert code == 0
+    assert re.fullmatch(r"\[variance_curve\] wall time \d+\.\d\ds\n", err)
+    assert "wall time" not in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -151,14 +151,6 @@ def test_report_table_matches_per_cell_writer(table):
     assert t.to_json() == expected_json
 
 
-def test_replication_map_split_and_merge():
-    fn = lambda rng: rng.random(3)
-    full = ex.replication_map(fn, 20, 7, "tag/x")
-    first = ex.replication_map(fn, 10, 7, "tag/x", start=0)
-    second = ex.replication_map(fn, 10, 7, "tag/x", start=10)
-    assert np.array_equal(full, np.vstack([first, second]))
-
-
 def test_replication_map_worker_counts_identical():
     fn = lambda rng: rng.random(4)
     base = ex.replication_map(fn, 37, 7, "tag/y", workers=1)
@@ -206,11 +198,24 @@ def test_replication_map_matches_fresh_streams(workers, start, reps):
     assert np.array_equal(got, _reference(_mixed_draws, reps, 7, "tag/eq", start=start))
 
 
-def test_replication_map_split_at_odd_start_matches_fresh_streams():
-    full = _reference(_mixed_draws, 30, 11, "tag/split")
-    head = ex.replication_map(_mixed_draws, 13, 11, "tag/split", workers=2)
-    tail = ex.replication_map(_mixed_draws, 17, 11, "tag/split", workers=3, start=13)
-    assert np.array_equal(np.vstack([head, tail]), full)
+@st.composite
+def _splits(draw):
+    reps = draw(st.integers(2, 40))
+    return reps, draw(st.integers(1, reps - 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_splits(), st.integers(1, 8), st.integers(1, 8))
+@example((20, 10), 1, 1)
+@example((30, 13), 2, 3)
+def test_replication_map_split_and_merge(split, head_workers, tail_workers):
+    """A range split at any point, each part run with any worker count,
+    concatenates to the fresh streams of the whole range."""
+    reps, at = split
+    head = ex.replication_map(_mixed_draws, at, 11, "tag/split", workers=head_workers)
+    tail = ex.replication_map(_mixed_draws, reps - at, 11, "tag/split",
+                              workers=tail_workers, start=at)
+    assert np.array_equal(np.vstack([head, tail]), _reference(_mixed_draws, reps, 11, "tag/split"))
 
 
 def test_replication_map_range_checked_before_any_replication():
@@ -411,4 +416,3 @@ def test_meta_echoes_config_and_seed():
     echoed = ex.ExperimentConfig.from_text(table.meta["config"])
     assert echoed.experiment == "variance_curve"
     assert echoed.s_grid == (0.3, 0.797)
-    assert table.wall_time_s >= 0.0

@@ -1,42 +1,24 @@
-"""KS statistics against the scipy reference implementations."""
+"""The asymptotic one-sample KS critical value of the t1 table."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from renyitail import gof
-
-
-def test_one_sample_matches_scipy():
-    rng = np.random.default_rng(1)
-    x = rng.exponential(1.0, 500)
-    mine = gof.ks_statistic(x, lambda t: 1.0 - np.exp(-t))
-    ref = stats.kstest(x, lambda t: 1.0 - np.exp(-t)).statistic
-    assert mine == pytest.approx(ref, rel=1e-12)
-
-
-def test_two_sample_matches_scipy():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=400)
-    b = rng.normal(0.2, 1.0, size=300)
-    mine = gof.ks_statistic_two_sample(a, b)
-    ref = stats.ks_2samp(a, b).statistic
-    assert mine == pytest.approx(ref, rel=1e-12)
+from renyitail.experiments import _ks_critical
 
 
 def test_critical_value_one_percent():
     # c(0.01) = sqrt(-log(0.005)/2) ~ 1.628, the 1.63/sqrt(n) rule
-    assert gof.ks_critical(0.01, 1) == pytest.approx(1.6276, abs=1e-4)
-    assert gof.ks_critical(0.01, 10**5) == pytest.approx(1.6276 / math.sqrt(10**5), rel=1e-4)
+    assert _ks_critical(0.01, 1) == pytest.approx(1.6276, abs=1e-4)
+    assert _ks_critical(0.01, 10**5) == pytest.approx(1.6276 / math.sqrt(10**5), rel=1e-4)
 
 
 def test_critical_value_tracks_rejection_rate():
     # under the null the 1% critical value rejects about 1% of the time
     rng = np.random.default_rng(3)
     n, trials = 2000, 1000
-    crit = gof.ks_critical(0.01, n)
+    crit = _ks_critical(0.01, n)
     rejections = 0
     for _ in range(trials):
         u = np.sort(rng.random(n))
@@ -44,10 +26,3 @@ def test_critical_value_tracks_rejection_rate():
         d = max(np.max(i / n - u), np.max(u - (i - 1) / n))
         rejections += d > crit
     assert rejections / trials <= 0.03
-
-
-def test_empty_sample_rejected():
-    with pytest.raises(ValueError):
-        gof.ks_statistic([], lambda t: t)
-    with pytest.raises(ValueError):
-        gof.ks_statistic_two_sample([], [1.0])
