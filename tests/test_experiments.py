@@ -204,10 +204,16 @@ def _splits(draw):
     return reps, draw(st.integers(1, reps - 1))
 
 
+def test_replication_map_split_at_odd_start_matches_fresh_streams():
+    full = _reference(_mixed_draws, 30, 11, "tag/split")
+    head = ex.replication_map(_mixed_draws, 13, 11, "tag/split", workers=2)
+    tail = ex.replication_map(_mixed_draws, 17, 11, "tag/split", workers=3, start=13)
+    assert np.array_equal(np.vstack([head, tail]), full)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(_splits(), st.integers(1, 8), st.integers(1, 8))
 @example((20, 10), 1, 1)
-@example((30, 13), 2, 3)
 def test_replication_map_split_and_merge(split, head_workers, tail_workers):
     """A range split at any point, each part run with any worker count,
     concatenates to the fresh streams of the whole range."""
