@@ -149,13 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the default laws (repeatable)")
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--reps", type=_positive_int, default=None)
-    p.add_argument("--eps", type=_unit_float, default=0.1)
+    p.add_argument("--eps", type=_unit_float, default=None,
+                   help="interval level 1-eps for --id 3 (default 0.1)")
     p.add_argument("--y", type=_finite_float, default=None,
                    help="tail threshold for --id ld (default 1.5)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--avg-seeds", type=_positive_int, default=None,
                    help="average the hill plot (--id 2) over this many seeds")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="parallel replication spans, capped at the usable CPUs")
     p.add_argument("--paper-scale", action="store_true",
                    help="published n/reps instead of the desk-scale defaults")
     add_io(p)
@@ -172,16 +174,17 @@ _IGNORED_FLAGS = {
     ("fit", "uniform"): ("r",),
     ("rate", "iid"): ("r",),
     ("rate", None): ("r", "c"),
-    # t1 reads its own n grid; --n with ld is ignored too, but the benchmark
-    # workload mc_tiny_reps passes it, so it stays accepted for now
-    ("figure", "1"): ("y", "avg_seeds"),
-    ("figure", "2"): ("y",),
+    # t1 reads its own n grid and --id 2 runs avg_seeds replications; --n with
+    # ld is ignored too, but the benchmark workload mc_tiny_reps passes it, so
+    # it stays accepted for now
+    ("figure", "1"): ("eps", "y", "avg_seeds"),
+    ("figure", "2"): ("reps", "eps", "y"),
     ("figure", "3"): ("y", "avg_seeds"),
-    ("figure", "t1"): ("n", "y", "avg_seeds"),
-    ("figure", "ld"): ("avg_seeds",),
+    ("figure", "t1"): ("n", "eps", "y", "avg_seeds"),
+    ("figure", "ld"): ("eps", "avg_seeds"),
 }
 _FLAG_DEFAULTS = {"estimate": {"s": 0.797, "interval": "spacing"}, "rate": {"r": 1.0},
-                  "figure": {"avg_seeds": 1}}
+                  "figure": {"avg_seeds": 1, "eps": 0.1}}
 
 
 def _resolve_flags(args, parser) -> None:

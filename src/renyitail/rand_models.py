@@ -15,8 +15,10 @@ indices never share state and results are independent of scheduling.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,17 +227,31 @@ def _stream_base(tag: str) -> int:
     return zlib.crc32(tag.encode("utf-8")) << 32
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def replication_map(fn, reps: int, master_seed: int, tag: str,
                     workers: int = 1, start: int = 0) -> np.ndarray:
     """Evaluate fn(rng) on per-replication streams start..start+reps-1.
 
     Replication i draws from the stream ``SeedSpec(master_seed,
     crc32(tag) * 2^32 + i)``.  Results are stacked in replication order
-    whatever the worker count, so splitting a range across runs and
-    concatenating reproduces the single run exactly.
+    whatever the worker count, so the bytes are identical for any count and
+    splitting a range across runs and concatenating reproduces the single
+    run exactly.
 
-    The generator passed to fn is valid only during that call: each worker
-    re-keys one generator for its next replication, so fn must not keep it.
+    The range is cut into as many contiguous spans as the smallest of
+    ``workers``, ``reps`` and the CPUs this process may use.  Where
+    ``os.fork`` exists, every span after the first runs in a forked child,
+    which inherits fn (closures included) and pipes back its stacked
+    results; elsewhere the spans run serially.  An exception raised by fn
+    in a child is re-raised here.  The generator passed to fn is re-keyed
+    for the next replication, so fn must not keep it.
     """
     if reps < 1:
         raise ValueError("reps must be positive")
@@ -247,20 +263,70 @@ def replication_map(fn, reps: int, master_seed: int, tag: str,
         raise ValueError(f"streams {first}..{last} of tag {tag!r} "
                          "do not fit in 64 unsigned bits")
 
-    def run_range(lo: int, hi: int) -> list:
-        return [fn(rng) for rng in _streams(master_seed, range(base + lo, base + hi))]
+    def run_span(lo: int, hi: int) -> np.ndarray:
+        return np.asarray([fn(rng) for rng in _streams(master_seed, range(base + lo, base + hi))])
 
-    if workers <= 1:
-        out = run_range(start, start + reps)
-    else:
-        parts = 4 * workers  # exact integer bounds: start may exceed float precision
-        bounds = [start + reps * j // parts for j in range(parts + 1)]
-        spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        out = []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(lambda ab: run_range(*ab), spans):
-                out.extend(part)
-    return np.asarray(out)
+    spans = min(workers, reps, _usable_cpus()) if hasattr(os, "fork") else 1
+    if spans <= 1:
+        return run_span(start, start + reps)
+    bounds = [start + reps * j // spans for j in range(spans + 1)]  # exact for huge start
+    children, joined = [], False
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_span(run_span, lo, hi))
+        parts = [run_span(bounds[0], bounds[1])]
+        parts += [_read_span(rfd) for _, rfd in children]
+        joined = True
+    finally:
+        for pid, rfd in children:
+            if not joined:  # unwinding: the other spans' results are not wanted
+                os.kill(pid, signal.SIGKILL)
+            os.close(rfd)
+            os.waitpid(pid, 0)
+    return np.concatenate(parts)
+
+
+def _fork_span(run_span, lo: int, hi: int) -> tuple[int, int]:
+    """Fork a child that runs streams lo..hi-1; return its pid and pipe read end.
+
+    The child pickles ``(True, results)`` or ``(False, exception)`` into the
+    pipe and leaves by ``os._exit``, so it never runs the parent's cleanup
+    code or flushes the parent's stdio buffers.
+    """
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid:
+        os.close(wfd)
+        return pid, rfd
+    status = 1
+    try:
+        os.close(rfd)
+        try:
+            message = (True, run_span(lo, hi))
+        except Exception as exc:
+            message = (False, exc)
+        with open(wfd, "wb") as out:
+            pickle.dump(message, out, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_span(rfd: int) -> np.ndarray:
+    """The results a forked span wrote to its pipe; re-raise its exception."""
+    with open(rfd, "rb", closefd=False) as src:
+        try:
+            ok, value = pickle.load(src)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError("a replication worker process exited without a result") from None
+    if not ok:
+        raise value
+    return value
 
 
 def draw(spec: DistributionSpec, rng: Generator, count: int) -> np.ndarray:

@@ -326,6 +326,9 @@ IGNORED_FLAGS = [
     *[(("figure", "--id", fig, "--avg-seeds", "2"), f"--avg-seeds has no effect with --id {fig}")
       for fig in ("1", "3", "t1", "ld")],
     (("figure", "--id", "t1", "--n", "50"), "--n has no effect with --id t1"),
+    (("figure", "--id", "2", "--reps", "50"), "--reps has no effect with --id 2"),
+    *[(("figure", "--id", fig, "--eps", "0.2"), f"--eps has no effect with --id {fig}")
+      for fig in ("1", "2", "t1", "ld")],
 ]
 
 
@@ -365,7 +368,11 @@ def test_figure_reads_its_flags(capsys):
     code, out, _ = _run(capsys, "figure", "--id", "ld", "--n", "50", "--reps", "50", "--y", "2")
     assert code == 0
     config = _config(out)
-    assert config["y"] == 2.0 and config["avg_seeds"] == 1
+    assert config["y"] == 2.0 and config["avg_seeds"] == 1 and config["eps"] == 0.1
+    code, out, _ = _run(capsys, "figure", "--id", "3", "--n", "50", "--reps", "20",
+                        "--eps", "0.2")
+    assert code == 0
+    assert _config(out)["eps"] == 0.2
 
 
 def test_figure_t1_paper_scale_names_the_n_it_runs(capsys):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -243,6 +244,58 @@ def test_replication_map_range_checked_before_any_replication():
     for workers in (1, 2):
         got = ex.replication_map(fn, 5, 7, "tag/edge", workers=workers, start=room - 5)
         assert np.array_equal(got, expected)
+
+
+def _pids(reps, workers):
+    fn = lambda rng: os.getpid()
+    return set(ex.replication_map(fn, reps, 7, "tag/pid", workers=workers).tolist())
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+@needs_fork
+def test_replication_map_runs_spans_in_forked_children(monkeypatch):
+    monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
+    pids = _pids(10, workers=2)
+    assert len(pids) == 2 and os.getpid() in pids
+
+
+@needs_fork
+def test_replication_map_caps_spans_at_cpus_and_reps(monkeypatch):
+    monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
+    assert len(_pids(200, workers=64)) <= 2
+    assert _pids(1, workers=2) == {os.getpid()}
+
+
+def test_replication_map_runs_serially_without_fork(monkeypatch):
+    monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert _pids(10, workers=2) == {os.getpid()}
+
+
+@needs_fork
+@pytest.mark.parametrize("where,error,message", [
+    ("child", ValueError, "bad replication in span 2"),
+    ("parent", ValueError, "bad replication in span 1"),
+    ("child-exit", RuntimeError, "exited without a result"),
+])
+def test_replication_map_failure_reaps_every_child(monkeypatch, where, error, message):
+    monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+
+    def fn(rng):
+        in_parent = os.getpid() == parent
+        if where == "child-exit" and not in_parent:
+            os._exit(3)
+        if in_parent == (where == "parent"):
+            raise ValueError(f"bad replication in span {1 if in_parent else 2}")
+        return rng.random()
+
+    with pytest.raises(error, match=message):
+        ex.replication_map(fn, 10, 7, "tag/fail", workers=2)
+    with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_variance_curve_values():

@@ -6,6 +6,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from renyitail import large_deviations as ld
@@ -215,6 +217,18 @@ def test_mc_tail_approaches_rate_function():
     # and the exact enumeration agrees with the Monte Carlo value
     exact = math.log(_irwin_hall_sf(100, 60)) / k
     assert res.estimate == pytest.approx(exact, abs=4.0 * res.std_error)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(["exp:gamma=1", "unif:gamma=0.5", "bern:gamma=0.3",
+                        "gamma:r=2.5,gamma=0.7"]), st.integers(0, 2**64 - 1))
+def test_mc_tail_sum_over_k_is_the_mean(law, stream):
+    """mc_tail_logprob tests float(z.sum()) / k >= y in place of z.mean() >= y:
+    numpy's mean is the same add.reduce divided by the count, so the bits agree."""
+    spec, rng = rm.parse_spec(law), rm.SeedSpec(13, stream).generator()
+    for k in range(1, 401):
+        z = rm.draw(spec, rng, k)
+        assert float(z.sum()) / k == z.mean()
 
 
 def test_mc_tail_deterministic_across_workers():
