@@ -63,7 +63,6 @@ from .rand_models import (
     parse_spec,
     quantile,
     random_permutation,
-    sample,
     strict_pareto,
     uniform,
 )

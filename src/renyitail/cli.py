@@ -25,7 +25,7 @@ from .experiments import (
     run_experiment,
 )
 from .large_deviations import gamma_family_rates, iid_comparison_rates, rate_function
-from .rand_models import SeedSpec, parse_spec, sample
+from .rand_models import SeedSpec, draw, parse_spec
 from .renyi import HeavySample, heavy_sample, scaled_log_spacings
 
 _EPILOG = """\
@@ -268,7 +268,7 @@ def _cmd_simulate(args, argv) -> int:
     seed = SeedSpec(_effective_seed(args) % 2**64, args.stream % 2**64)
     if not args.spec.is_spacing_law:
         raise DataError(f"{args.spec} is not a spacing law")
-    z = sample(args.spec, seed, args.n)
+    z = draw(args.spec, seed.generator(), args.n)
     h = heavy_sample(z, args.c)
     zhat = scaled_log_spacings(h)
     rows = list(zip(range(1, args.n + 1), h.w.tolist(), zhat.tolist()))

@@ -37,7 +37,6 @@ __all__ = [
     "hall_class",
     "parse_spec",
     "draw",
-    "sample",
     "quantile",
     "moment",
     "mgf",
@@ -349,11 +348,6 @@ def draw(spec: DistributionSpec, rng: Generator, count: int) -> np.ndarray:
     return u ** (-0.5) * (1.0 + 0.5 * u)  # hall
 
 
-def sample(spec: DistributionSpec, seed: SeedSpec, count: int) -> np.ndarray:
-    """Draw ``count`` iid values; deterministic given (spec, seed, count)."""
-    return draw(spec, seed.generator(), count)
-
-
 def quantile(spec: DistributionSpec, u):
     """Left-continuous generalized inverse of the CDF at u in (0, 1).
 
@@ -444,21 +438,23 @@ def mgf_domain(spec: DistributionSpec) -> tuple[float, float]:
     raise ValueError(f"{spec.kind!r} has no finite mgf in a neighborhood of 0")
 
 
-def cf(spec: DistributionSpec, t: float) -> complex:
-    """Characteristic function E exp(itZ) for the four spacing laws."""
+def cf(spec: DistributionSpec, t):
+    """E exp(itZ) for the four spacing laws, t a scalar or an array; uniform as
+    e^{ia/2} sinc(a/2) with a = 2 gamma t, which does not cancel near a = 0."""
+    arr = np.asarray(t, dtype=np.float64)
     g = spec.gamma
     if spec.kind == "exp":
-        return 1.0 / (1.0 - 1j * g * t)
-    if spec.kind == "unif":
-        a = 2.0 * g * t
-        if a == 0.0:
-            return 1.0 + 0.0j
-        return (np.exp(1j * a) - 1.0) / (1j * a)
-    if spec.kind == "bern":
-        return (1.0 - g) + g * np.exp(1j * t)
-    if spec.kind == "gamma":
-        return (1.0 - 1j * g * t / spec.r) ** (-spec.r)
-    raise NotImplementedError(f"characteristic function of {spec.kind!r} not implemented")
+        out = 1.0 / (1.0 - 1j * g * arr)
+    elif spec.kind == "unif":
+        a = 2.0 * g * arr
+        out = np.exp(0.5j * a) * np.sinc(a / (2.0 * np.pi))
+    elif spec.kind == "bern":
+        out = (1.0 - g) + g * np.exp(1j * arr)
+    elif spec.kind == "gamma":
+        out = (1.0 - 1j * g * arr / spec.r) ** (-spec.r)
+    else:
+        raise NotImplementedError(f"characteristic function of {spec.kind!r} not implemented")
+    return complex(out) if np.isscalar(t) else out
 
 
 def support(spec: DistributionSpec) -> tuple[float, float]:

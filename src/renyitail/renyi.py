@@ -5,13 +5,15 @@ sequence x_k = sum_{j<=k} z_j / (n+1-j); exponentiating and scaling gives a
 heavy-tailed sample w_k = C exp(x_k) whose scaled log-spacings recover the
 z's exactly.  The oracles at the bottom (psi_n, moment recursions) evaluate
 finite-n expectations of a randomly reordered coordinate X_{D,n} without
-any simulation.
+any simulation: psi_n as one cumulative product (O(n) memory), the moment
+recursion as one telescoped cumulative sum per order (O(k_max^2 n) work).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,17 +109,16 @@ def permuted_view(x, perm) -> np.ndarray:
 def psi_n(spec: DistributionSpec, n: int, t: float) -> complex:
     """Characteristic function of X_{D,n} for a uniformly random index D.
 
-    psi_n(t) = (1/n) sum_{m=1}^n prod_{j=1}^m phi(t/(n+1-j)), evaluated with
-    a running product in O(n) complex multiplications.
+    psi_n(t) = (1/n) sum_{m=1}^n prod_{j=1}^m phi(t/(n+1-j)), as one
+    cumulative product of the n factors, multiplied in order of j.  It
+    holds all n factors at once: O(n) memory, 16 bytes per factor.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    total = 0.0 + 0.0j
-    prod = 1.0 + 0.0j
-    for m in range(1, n + 1):
-        prod *= cf(spec, t / (n + 1 - m))
-        total += prod
-    return total / n
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    return complex(np.cumprod(cf(spec, t / np.arange(n, 0, -1))).sum()) / n
 
 
 def moment_recursion(spec: DistributionSpec, k_max: int, n: int) -> np.ndarray:
@@ -129,31 +130,26 @@ def moment_recursion(spec: DistributionSpec, k_max: int, n: int) -> np.ndarray:
         m_{k,nu} = mu_k/nu^k + ((nu-1)/nu) m_{k,nu-1}
                    + ((nu-1)/nu) sum_{j=1}^{k-1} C(k,j) nu^{-(k-j)} mu_{k-j} m_{j,nu-1}
 
-    Row 0 is the trivial moment 1; column 0 is unused (NaN).  Only the
-    previous column is read while filling, so the work is O(k_max * n).
+    Times nu it telescopes: nu m_{k,nu} = (nu-1) m_{k,nu-1} + b_{k,nu}, where
+    b_{k,nu} is nu times the mu_k and sum terms, so m_{k,nu} = (mu_k +
+    sum_{s=2}^{nu} b_{k,s})/nu.  Each row k is one cumulative sum (of positive
+    terms for the spacing laws) over rows j < k: O(k_max^2 n) numpy work.
+    Row 0 is the trivial moment 1; column 0 is unused (NaN).
     """
+    k_max, n = operator.index(k_max), operator.index(n)
     if k_max < 1 or n < 1:
         raise ValueError("k_max and n must be at least 1")
     mu = [1.0] + [moment(spec, k) for k in range(1, k_max + 1)]
     if any(math.isinf(m) for m in mu):
         raise ValueError(f"moments up to order {k_max} must be finite for {spec}")
-    binom = [[math.comb(k, j) for j in range(k)] for k in range(k_max + 1)]
+    nu = np.arange(1, n + 1, dtype=np.float64)
     m = np.full((k_max + 1, n + 1), np.nan)
     m[0, 1:] = 1.0
     for k in range(1, k_max + 1):
-        m[k, 1] = mu[k]
-    prev = m[:, 1].copy()
-    for nu in range(2, n + 1):
-        cur = np.empty(k_max + 1)
-        cur[0] = 1.0
-        frac = (nu - 1) / nu
-        for k in range(1, k_max + 1):
-            acc = mu[k] / nu**k + frac * prev[k]
-            for j in range(1, k):
-                acc += frac * binom[k][j] * nu ** (-(k - j)) * mu[k - j] * prev[j]
-            cur[k] = acc
-        m[:, nu] = cur
-        prev = cur
+        b = mu[k] * nu ** (1 - k)  # b[0] = mu_k anchors the sum at nu = 1
+        for j in range(1, k):
+            b[1:] += (nu[1:] - 1.0) * (math.comb(k, j) * mu[k - j]) * nu[1:] ** (j - k) * m[j, 1:n]
+        m[k, 1:] = np.cumsum(b) / nu
     return m
 
 
@@ -164,8 +160,10 @@ def cross_moment_recursion(spec: DistributionSpec, n: int) -> np.ndarray:
 
         C_nu = mu_2/nu^2 + 2 (gamma/nu)(gamma - gamma/nu) + C_{nu-1} (nu-2)/nu.
 
-    Entries 0 and 1 of the returned array are NaN.
+    The recursion runs on Python floats and writes each C_nu through a
+    memoryview of the result.  Entries 0 and 1 of the returned array are NaN.
     """
+    n = operator.index(n)
     if n < 2:
         raise ValueError("n must be at least 2")
     g = moment(spec, 1)
@@ -173,7 +171,8 @@ def cross_moment_recursion(spec: DistributionSpec, n: int) -> np.ndarray:
     if math.isinf(mu2):
         raise ValueError(f"second moment must be finite for {spec}")
     c = np.full(n + 1, np.nan)
-    c[2] = mu2 / 4.0 + g * g / 2.0
+    out = memoryview(c)
+    prev = out[2] = mu2 / 4.0 + g * g / 2.0
     for nu in range(3, n + 1):
-        c[nu] = mu2 / nu**2 + 2.0 * (g / nu) * (g - g / nu) + c[nu - 1] * (nu - 2) / nu
+        prev = out[nu] = mu2 / nu**2 + 2.0 * (g / nu) * (g - g / nu) + prev * (nu - 2) / nu
     return c

@@ -66,10 +66,10 @@ def test_criterion_4_pareto_equivalence():
     hill_iid = np.empty(seeds)
     exp_spec, par_spec = rm.exponential(g), rm.strict_pareto(g, 1.0)
     for i in range(seeds):
-        z = rm.sample(exp_spec, rm.SeedSpec(404, i), n)
+        z = rm.draw(exp_spec, rm.SeedSpec(404, i).generator(), n)
         h = renyi.heavy_sample(z, 1.0)
         hill_model[i] = est.hill(h, n)
-        w = np.sort(rm.sample(par_spec, rm.SeedSpec(505, i), n))
+        w = np.sort(rm.draw(par_spec, rm.SeedSpec(505, i).generator(), n))
         hill_iid[i] = est.hill(renyi.HeavySample(1.0, w), n)
     d = stats.ks_2samp(hill_model, hill_iid).statistic
     # asymptotic two-sample critical value c(alpha) sqrt((n1 + n2)/(n1 n2))

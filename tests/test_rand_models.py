@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import mpmath
 from scipy import integrate, special
 
 from renyitail import rand_models as rm
@@ -15,17 +16,17 @@ SEED = rm.SeedSpec(1234)
 
 
 def test_bernoulli_degenerate_atom_all_ones():
-    z = rm.sample(rm.bernoulli(1.0), SEED, 1000)
+    z = rm.draw(rm.bernoulli(1.0), SEED.generator(), 1000)
     assert np.all(z == 1.0)
 
 
 def test_uniform_sample_mean():
-    z = rm.sample(rm.uniform(0.5), SEED, 10**6)
+    z = rm.draw(rm.uniform(0.5), SEED.generator(), 10**6)
     assert 0.497 <= z.mean() <= 0.503
 
 
 def test_exponential_sample_moments():
-    z = rm.sample(rm.exponential(0.5), SEED, 10**6)
+    z = rm.draw(rm.exponential(0.5), SEED.generator(), 10**6)
     assert 0.498 <= z.mean() <= 0.502
     assert abs(z.var(ddof=1) - 0.25) <= 0.02 * 0.25
 
@@ -37,7 +38,7 @@ def test_exponential_sample_moments():
     rm.gamma_law(2.0, 0.5),
 ])
 def test_spacing_law_mean_is_gamma(spec):
-    z = rm.sample(spec, SEED, 10**6)
+    z = rm.draw(spec, SEED.generator(), 10**6)
     bound = 4.0 * math.sqrt(spec.variance) / 1000.0
     assert abs(z.mean() - 0.5) <= bound
     assert np.all(z >= 0.0)
@@ -173,7 +174,7 @@ def _hall_cdf(x):
 ])
 def test_sampler_agrees_with_quantile_cdf(spec, cdf):
     reps = 10**5
-    z = rm.sample(spec, rm.SeedSpec(2024), reps)
+    z = rm.draw(spec, rm.SeedSpec(2024).generator(), reps)
     zs = np.sort(z)
     f = cdf(zs)
     i = np.arange(1, reps + 1)
@@ -183,14 +184,14 @@ def test_sampler_agrees_with_quantile_cdf(spec, cdf):
 
 def test_determinism_bit_identical():
     spec = rm.gamma_law(2.0, 0.5)
-    a = rm.sample(spec, rm.SeedSpec(7, 3), 1000)
-    b = rm.sample(spec, rm.SeedSpec(7, 3), 1000)
+    a = rm.draw(spec, rm.SeedSpec(7, 3).generator(), 1000)
+    b = rm.draw(spec, rm.SeedSpec(7, 3).generator(), 1000)
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
     spec = rm.exponential(1.0)
-    streams = [rm.sample(spec, rm.SeedSpec(7, i), 8).tobytes() for i in range(50)]
+    streams = [rm.draw(spec, rm.SeedSpec(7, i).generator(), 8).tobytes() for i in range(50)]
     assert len(set(streams)) == 50
 
 
@@ -246,3 +247,29 @@ def test_mgf_unsupported_negative_t_for_pareto():
 def test_cf_unsupported_kind():
     with pytest.raises(NotImplementedError):
         rm.cf(rm.hall_class(), 1.0)
+
+
+def _unif_cf_mp(gamma, t):
+    """(e^{ia} - 1)/(ia) with a = 2 gamma t, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        a = 2 * mpmath.mpf(gamma) * mpmath.mpf(t)
+        return complex((mpmath.expj(a) - 1) / (1j * a))
+
+
+def test_uniform_cf_against_mpmath():
+    # the direct (e^{ia} - 1)/(ia) cancels at small a: 4.4e-11 off at t = 1e-6
+    spec = rm.uniform(0.5)
+    for t in (1e-8, 1e-6, 1e-3, 0.3, 3.0, 30.0):
+        for s in (t, -t):
+            assert abs(rm.cf(spec, s) - _unif_cf_mp(0.5, s)) <= 4e-16
+    assert rm.cf(spec, 0.0) == 1.0
+
+
+def test_cf_array_matches_scalar():
+    t = np.array([-30.0, -1.7, -1e-9, 0.0, 1e-6, 0.3, 2.0, 3.0 * math.pi])
+    for spec in (rm.exponential(0.5), rm.uniform(0.5), rm.bernoulli(0.3),
+                 rm.gamma_law(2.5, 0.5)):
+        values = rm.cf(spec, t)
+        assert values.shape == t.shape
+        assert np.array_equal(values, [rm.cf(spec, float(s)) for s in t])
+        assert type(rm.cf(spec, 0.3)) is complex

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -212,6 +213,47 @@ def test_psi_uniform_near_exponential_limit():
     assert abs(renyi.psi_n(spec, 4000, 1.0) - 1.0 / (1.0 - 0.5j)) <= 0.01
 
 
+def _psi_loop(spec, n, t):
+    """psi_n by the scalar running product over m = 1..n."""
+    total, prod = 0.0 + 0.0j, 1.0 + 0.0j
+    for m in range(1, n + 1):
+        prod *= rm.cf(spec, t / (n + 1 - m))
+        total += prod
+    return total / n
+
+
+def test_psi_matches_scalar_running_product():
+    for spec in (rm.exponential(0.7), rm.gamma_law(2.5, 0.5), rm.bernoulli(0.3)):
+        for n in (1, 2, 7, 4000):
+            for t in (-2.0, 0.3, 1.7):
+                assert abs(renyi.psi_n(spec, n, t) - _psi_loop(spec, n, t)) <= 1e-12
+
+
+def test_psi_uniform_against_mpmath():
+    n, t = 4000, 0.3
+    with mpmath.workdps(40):
+        total, prod = mpmath.mpc(0), mpmath.mpc(1)
+        for c in range(n, 0, -1):
+            a = mpmath.mpf(t) / c  # 2 gamma = 1
+            prod *= (mpmath.expj(a) - 1) / (1j * a)
+            total += prod
+        exact = complex(total / n)
+    assert abs(renyi.psi_n(rm.uniform(0.5), n, t) - exact) <= 1e-13
+
+
+def test_psi_rejects_bad_arguments():
+    spec = rm.uniform(0.5)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            renyi.psi_n(spec, 10, t)
+    for n in (2.5, 10.0, "10"):
+        with pytest.raises(TypeError):
+            renyi.psi_n(spec, n, 1.0)
+    with pytest.raises(ValueError):
+        renyi.psi_n(spec, 0, 1.0)
+    assert renyi.psi_n(spec, np.int64(10), 1.0) == renyi.psi_n(spec, 10, 1.0)
+
+
 def test_psi_and_joint_cf_against_simulation():
     """Empirical characteristic functions at a random coordinate pair.
 
@@ -319,6 +361,81 @@ def test_moment_recursion_matches_monte_carlo():
 def test_moment_recursion_rejects_infinite_moments():
     with pytest.raises(ValueError):
         renyi.moment_recursion(rm.strict_pareto(0.5, 1.0), 2, 10)
+
+
+_ORACLE_LAWS = (rm.exponential(0.7), rm.uniform(0.5), rm.bernoulli(0.3), rm.gamma_law(2.5, 0.5))
+
+
+def _moment_loop(spec, k_max, n):
+    """m[k, nu] by the column-by-column recursion in nu."""
+    mu = [1.0] + [rm.moment(spec, k) for k in range(1, k_max + 1)]
+    m = np.full((k_max + 1, n + 1), np.nan)
+    m[0, 1:] = 1.0
+    m[1:, 1] = mu[1:]
+    for nu in range(2, n + 1):
+        frac = (nu - 1) / nu
+        for k in range(1, k_max + 1):
+            acc = mu[k] / nu**k + frac * m[k, nu - 1]
+            for j in range(1, k):
+                acc += frac * math.comb(k, j) * nu ** (-(k - j)) * mu[k - j] * m[j, nu - 1]
+            m[k, nu] = acc
+    return m
+
+
+def _cross_loop(spec, n):
+    """C_nu by the scalar recursion, read back from the array at each step."""
+    g, mu2 = rm.moment(spec, 1), rm.moment(spec, 2)
+    c = np.full(n + 1, np.nan)
+    c[2] = mu2 / 4.0 + g * g / 2.0
+    for nu in range(3, n + 1):
+        c[nu] = mu2 / nu**2 + 2.0 * (g / nu) * (g - g / nu) + c[nu - 1] * (nu - 2) / nu
+    return c
+
+
+def test_moment_recursion_matches_loop():
+    ref = {spec: _moment_loop(spec, 6, 8000) for spec in _ORACLE_LAWS}
+    for spec in _ORACLE_LAWS:
+        for k_max in range(1, 7):
+            for n in (1, 2, 3, 50, 8000):
+                m = renyi.moment_recursion(spec, k_max, n)
+                want = ref[spec][:k_max + 1, :n + 1]
+                assert m.shape == want.shape
+                assert np.all(np.isnan(m[:, 0]))
+                assert np.allclose(m[:, 1:], want[:, 1:], rtol=1e-12, atol=0.0)
+
+
+def test_cross_moment_recursion_bit_identical_to_loop():
+    # the t1 table's m11_exact column is read from these bits
+    for spec in _ORACLE_LAWS:
+        ref = _cross_loop(spec, 80000)
+        for n in (2, 3, 10, 2000, 80000):
+            assert np.array_equal(renyi.cross_moment_recursion(spec, n), ref[:n + 1],
+                                  equal_nan=True)
+
+
+def test_oracles_at_benchmark_sizes():
+    """Closed forms of the exponential law at 1e-9, at the benchmark's oracle sizes."""
+    g = 0.7
+    spec = rm.exponential(g)
+    for t in (-3.1, 0.4, 5.0):
+        assert abs(renyi.psi_n(spec, 4000, t) - 1.0 / (1.0 - 1j * g * t)) <= 1e-9
+    m = renyi.moment_recursion(spec, 6, 8000)
+    for k in range(1, 7):
+        assert np.all(np.abs(m[k, 1:] / (math.factorial(k) * g**k) - 1.0) <= 1e-9)
+    c = renyi.cross_moment_recursion(spec, 80000)
+    assert np.all(np.abs(c[2:] / g**2 - 1.0) <= 1e-9)
+
+
+def test_oracles_reject_non_integer_sizes():
+    spec = rm.uniform(0.5)
+    with pytest.raises(TypeError):
+        renyi.moment_recursion(spec, 2, 10.0)
+    with pytest.raises(TypeError):
+        renyi.moment_recursion(spec, 2.5, 10)
+    with pytest.raises(TypeError):
+        renyi.cross_moment_recursion(spec, 2.5)
+    with pytest.raises(ValueError):
+        renyi.moment_recursion(spec, 0, 10)
 
 
 def test_cross_moment_hand_values():
