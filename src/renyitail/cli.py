@@ -19,10 +19,12 @@ import numpy as np
 
 from . import estimators, likelihood
 from .experiments import (
+    BLOCK_ROWS,
     DEFAULT_SEED,
     ExperimentConfig,
     ReportTable,
     run_experiment,
+    write_numeric_rows,
 )
 from .large_deviations import gamma_family_rates, iid_comparison_rates, rate_function
 from .rand_models import SeedSpec, draw, parse_spec
@@ -254,14 +256,38 @@ def _read_column(path: str, allow_unsorted: bool) -> np.ndarray:
     return data
 
 
-def _emit(table: ReportTable, args, argv: list[str]) -> None:
+def _emit(table: ReportTable, args, argv: list[str], more_rows=()) -> None:
+    """Write the table to --out or stdout as it is formatted; in CSV, ``more_rows``
+    (int, float and bool cells) follow the table's own rows."""
     table.meta["invocation"] = shlex.join(["renyitail"] + list(argv))
-    text = table.to_csv() if args.format == "csv" else table.to_json() + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
+
+    def write(out):
+        if args.format == "json":
+            out.write(table.to_json() + "\n")
+        else:
+            table.write_csv(out)
+            write_numeric_rows(out, more_rows)
+
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            write(f)
+        return
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): stop quietly, and point
+        # stdout at devnull so the flush at interpreter exit does not fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _sample_rows(h: HeavySample, zhat: np.ndarray):
+    """simulate's rows, converted to Python values one block at a time."""
+    for lo in range(0, h.n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, h.n)
+        yield from zip(range(lo + 1, hi + 1), h.w[lo:hi].tolist(), zhat[lo:hi].tolist())
 
 
 def _cmd_simulate(args, argv) -> int:
@@ -270,14 +296,14 @@ def _cmd_simulate(args, argv) -> int:
         raise DataError(f"{args.spec} is not a spacing law")
     z = draw(args.spec, seed.generator(), args.n)
     h = heavy_sample(z, args.c)
-    zhat = scaled_log_spacings(h)
-    rows = list(zip(range(1, args.n + 1), h.w.tolist(), zhat.tolist()))
+    rows = _sample_rows(h, scaled_log_spacings(h))
+    # a JSON table is one object and holds every row; CSV streams them after the header
     table = ReportTable(
-        ["index", "w", "scaled_log_spacing"], rows,
+        ["index", "w", "scaled_log_spacing"], list(rows) if args.format == "json" else [],
         {"spec": args.spec.canonical(), "n": args.n, "scale_c": args.c,
          "master_seed": seed.master_seed, "stream": seed.stream_index},
     )
-    _emit(table, args, argv)
+    _emit(table, args, argv, rows)
     return 0
 
 

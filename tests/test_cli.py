@@ -4,11 +4,21 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import select
+import subprocess
+import sys
 
 import pytest
 
+import renyitail
 from renyitail.cli import main
+from renyitail.experiments import BLOCK_ROWS
+from renyitail.rand_models import SeedSpec, draw, parse_spec
+from renyitail.renyi import heavy_sample
+
+_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(renyitail.__file__))}
 
 
 def _run(capsys, *argv):
@@ -69,6 +79,82 @@ def test_simulate_deterministic(capsys):
     assert [r["index"] for r in rows] == ["1", "2", "3", "4", "5"]
     w = [float(r["w"]) for r in rows]
     assert w == sorted(w) and w[0] >= 1.0
+
+
+def test_simulate_rows_across_blocks(tmp_path, capsys):
+    # more than three write blocks, the last one partial, and zero spacings (bern)
+    n = 3 * BLOCK_ROWS + 123
+    argv = ["simulate", "--spec", "bern:gamma=0.5", "--n", str(n), "--c", "2.5", "--seed", "11"]
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "sim.csv"
+    assert main(argv + ["--out", str(path)]) == 0
+    written = path.read_bytes().decode("utf-8")
+    h = heavy_sample(draw(parse_spec("bern:gamma=0.5"), SeedSpec(11).generator(), n), 2.5)
+    assert (h.zhat == 0.0).any()
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["index", "w", "scaled_log_spacing"])
+    writer.writerows(zip(range(1, n + 1), h.w.tolist(), h.zhat.tolist()))
+    for text in (out, written):
+        meta, body = text.split("index,", 1)
+        assert "index," + body == buf.getvalue()
+        assert meta.count("\r\n") == 6 and meta.endswith("# stream=0\r\n")
+    assert out.split("\r\n", 1)[1] == written.split("\r\n", 1)[1]  # all but the invocation
+
+
+def _simulate(n, *flags, **popen):
+    return subprocess.Popen([sys.executable, "-m", "renyitail.cli", "simulate",
+                             "--spec", "exp:gamma=0.5", "--n", str(n), *flags],
+                            stderr=subprocess.PIPE, env=_ENV, **popen)
+
+
+@pytest.mark.parametrize("n", [2000, 200000])
+def test_reader_closing_stdout_early_exits_quietly(n):
+    proc = _simulate(n, stdout=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().startswith(b"# invocation=")
+        proc.stdout.close()  # as `| head -1` does
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_out_file_that_fails_to_write_exits_1(tmp_path):
+    fifo = tmp_path / "out.csv"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    proc = _simulate(200000, "--out", str(fifo))
+    try:
+        assert select.select([reader], [], [], 120)[0]
+        assert os.read(reader, 100).startswith(b"# invocation=")
+        os.close(reader)  # the next write to --out fails with a broken pipe
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert err.decode().startswith("renyitail: error: [Errno 32] Broken pipe")
+
+
+def test_simulate_memory_does_not_grow_with_the_rows(tmp_path):
+    pytest.importorskip("resource")
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes there, KiB elsewhere
+    code = ("import resource, sys; from renyitail.cli import main; "
+            "main(['simulate', '--spec', 'exp:gamma=0.5', '--n', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    # A process started from this one inherits this one's peak RSS as its own
+    # ru_maxrss, so each measured process is started by a small launcher.  Not
+    # RUSAGE_CHILDREN either: it would count the suite's forked workers.
+    launch = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+    peak = {}
+    for n in (1000, 400000):
+        done = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", code, str(n),
+                               str(tmp_path / f"{n}.csv")],
+                              capture_output=True, env=_ENV, timeout=300, check=True)
+        peak[n] = int(done.stdout) * unit
+    assert (peak[400000] - peak[1000]) / (400000 - 1000) < 100  # bytes per row
 
 
 def test_simulate_rejects_iid_law(capsys):
