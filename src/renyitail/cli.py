@@ -14,17 +14,16 @@ import os
 import shlex
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
 from . import estimators, likelihood
 from .experiments import (
-    BLOCK_ROWS,
     DEFAULT_SEED,
     ExperimentConfig,
     ReportTable,
     run_experiment,
-    write_numeric_rows,
 )
 from .large_deviations import gamma_family_rates, iid_comparison_rates, rate_function
 from .rand_models import SeedSpec, draw, parse_spec
@@ -36,6 +35,8 @@ output formats:
   json    object {"meta": {...}, "rows": [{column: value, ...}, ...]}
 Full schemas per subcommand are documented in docs/formats.md.
 """
+
+_BLOCK_ROWS = 2**14  # simulate's rows converted, formatted and written per block
 
 # per figure id: experiment, default laws, and (n, reps) at desk scale and at
 # the published scale behind --paper-scale (t1 runs its own n grid, so its n
@@ -256,17 +257,20 @@ def _read_column(path: str, allow_unsorted: bool) -> np.ndarray:
     return data
 
 
-def _emit(table: ReportTable, args, argv: list[str], more_rows=()) -> None:
-    """Write the table to --out or stdout as it is formatted; in CSV, ``more_rows``
-    (int, float and bool cells) follow the table's own rows."""
+def _emit(table: ReportTable, args, argv: list[str], row_blocks=()) -> None:
+    """Write the table to --out or stdout.  ``row_blocks`` are more rows (int,
+    float and bool cells), one iterable per block, after the table's own: CSV
+    writes each block as it is formatted, JSON holds them all in its one object."""
     table.meta["invocation"] = shlex.join(["renyitail"] + list(argv))
 
     def write(out):
         if args.format == "json":
-            out.write(table.to_json() + "\n")
+            rows = table.rows + list(chain.from_iterable(row_blocks))
+            out.write(ReportTable(table.columns, rows, table.meta).to_json() + "\n")
         else:
             table.write_csv(out)
-            write_numeric_rows(out, more_rows)
+            for block in row_blocks:
+                _write_numeric_rows(out, block)
 
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as f:
@@ -283,11 +287,22 @@ def _emit(table: ReportTable, args, argv: list[str], more_rows=()) -> None:
         os.close(devnull)
 
 
-def _sample_rows(h: HeavySample, zhat: np.ndarray):
-    """simulate's rows, converted to Python values one block at a time."""
-    for lo in range(0, h.n, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, h.n)
-        yield from zip(range(lo + 1, hi + 1), h.w[lo:hi].tolist(), zhat[lo:hi].tolist())
+def _write_numeric_rows(out, rows) -> None:
+    """Write rows whose cells are all ``int``, ``float`` or ``bool`` to ``out``,
+    in one write, with the bytes ``csv.writer`` gives them.
+
+    csv.writer writes a float by ``repr`` and an int or bool by ``str``, the
+    same text as ``repr``; none of these texts holds a ``,``, ``"``, ``\r`` or
+    ``\n``, so no cell is quoted.
+    """
+    out.write("".join([f"{','.join(map(repr, row))}\r\n" for row in rows]))
+
+
+def _sample_blocks(h: HeavySample, zhat: np.ndarray):
+    """simulate's rows, converted to Python values _BLOCK_ROWS at a time."""
+    for lo in range(0, h.n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, h.n)
+        yield zip(range(lo + 1, hi + 1), h.w[lo:hi].tolist(), zhat[lo:hi].tolist())
 
 
 def _cmd_simulate(args, argv) -> int:
@@ -296,14 +311,12 @@ def _cmd_simulate(args, argv) -> int:
         raise DataError(f"{args.spec} is not a spacing law")
     z = draw(args.spec, seed.generator(), args.n)
     h = heavy_sample(z, args.c)
-    rows = _sample_rows(h, scaled_log_spacings(h))
-    # a JSON table is one object and holds every row; CSV streams them after the header
     table = ReportTable(
-        ["index", "w", "scaled_log_spacing"], list(rows) if args.format == "json" else [],
+        ["index", "w", "scaled_log_spacing"], [],
         {"spec": args.spec.canonical(), "n": args.n, "scale_c": args.c,
          "master_seed": seed.master_seed, "stream": seed.stream_index},
     )
-    _emit(table, args, argv, rows)
+    _emit(table, args, argv, _sample_blocks(h, scaled_log_spacings(h)))
     return 0
 
 

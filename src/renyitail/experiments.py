@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "DEFAULT_SEED",
     "ExperimentConfig",
     "ReportTable",
-    "write_numeric_rows",
     "replication_map",
     "default_s_grid",
     "default_k_grid",
@@ -48,7 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 7
-BLOCK_ROWS = 2**14  # rows formatted into one string per write by write_numeric_rows
 
 
 def default_s_grid() -> tuple[float, ...]:
@@ -130,14 +128,7 @@ class ExperimentConfig:
 
 @dataclass
 class ReportTable:
-    """Column-named rows plus a reproducibility metadata block.
-
-    CSV rows are written by ``csv.writer``, except when every cell is an
-    ``int``, ``float`` or ``bool`` (numpy scalars count as the Python value
-    they are converted to): then ``write_numeric_rows`` writes the same bytes
-    faster.  A table with ``None``, string or any other cell keeps
-    ``csv.writer``, the only path that quotes.
-    """
+    """Column-named rows plus a reproducibility metadata block."""
 
     columns: list[str]
     rows: list[tuple]
@@ -148,14 +139,8 @@ class ReportTable:
             raise ValueError("row width does not match the column list")
         # csv writes a float by its repr and anything else by str, so numpy
         # scalars become plain Python values (float32 widened to float64) here
-        types = set(map(type, chain.from_iterable(self.rows)))
-        if any(issubclass(t, np.generic) for t in types):
+        if any(issubclass(t, np.generic) for t in set(map(type, chain.from_iterable(self.rows)))):
             self.rows = [tuple(_plain(v) for v in row) for row in self.rows]
-        # _plain has made numpy bools, integers and floats (dtype kinds b, i, u, f)
-        # Python ones; a timedelta64 (kind m) became a datetime.timedelta
-        self._numeric = all(t in (int, float, bool)
-                            or issubclass(t, np.generic) and np.dtype(t).kind in "biuf"
-                            for t in types)
 
     def write_csv(self, out) -> None:
         """Write '#'-prefixed meta lines, then an RFC-4180 header + rows, to ``out``."""
@@ -163,10 +148,7 @@ class ReportTable:
             out.write(f"# {key}={self.meta[key]}\r\n")
         writer = csv.writer(out)
         writer.writerow(self.columns)
-        if self._numeric:
-            write_numeric_rows(out, self.rows)
-        else:
-            writer.writerows(self.rows)
+        writer.writerows(self.rows)
 
     def to_csv(self) -> str:
         """The bytes of ``write_csv`` as one string."""
@@ -188,20 +170,6 @@ class ReportTable:
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
         return [row[idx] for row in self.rows]
-
-
-def write_numeric_rows(out, rows) -> None:
-    """Write rows whose cells are all ``int``, ``float`` or ``bool`` to ``out``
-    as ``csv.writer`` does, ``BLOCK_ROWS`` rows per write.
-
-    csv.writer writes a float by ``repr`` and an int or bool by ``str``, the
-    same text as ``repr``; none of these texts holds a ``,``, ``"``, ``\r`` or
-    ``\n``, so no cell is quoted.  ``rows`` may be any iterable, and only one
-    block of it is formatted at a time.
-    """
-    rows = iter(rows)
-    while block := list(islice(rows, BLOCK_ROWS)):
-        out.write("".join([f"{','.join(map(repr, row))}\r\n" for row in block]))
 
 
 def _plain(value):

@@ -13,8 +13,7 @@ import sys
 import pytest
 
 import renyitail
-from renyitail.cli import main
-from renyitail.experiments import BLOCK_ROWS
+from renyitail.cli import _BLOCK_ROWS, _write_numeric_rows, main
 from renyitail.rand_models import SeedSpec, draw, parse_spec
 from renyitail.renyi import heavy_sample
 
@@ -83,7 +82,7 @@ def test_simulate_deterministic(capsys):
 
 def test_simulate_rows_across_blocks(tmp_path, capsys):
     # more than three write blocks, the last one partial, and zero spacings (bern)
-    n = 3 * BLOCK_ROWS + 123
+    n = 3 * _BLOCK_ROWS + 123
     argv = ["simulate", "--spec", "bern:gamma=0.5", "--n", str(n), "--c", "2.5", "--seed", "11"]
     code, out, _ = _run(capsys, *argv)
     assert code == 0
@@ -101,6 +100,19 @@ def test_simulate_rows_across_blocks(tmp_path, capsys):
         assert "index," + body == buf.getvalue()
         assert meta.count("\r\n") == 6 and meta.endswith("# stream=0\r\n")
     assert out.split("\r\n", 1)[1] == written.split("\r\n", 1)[1]  # all but the invocation
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    rows = [(r["index"], r["w"], r["scaled_log_spacing"]) for r in json.loads(out)["rows"]]
+    assert rows == list(zip(range(1, n + 1), h.w.tolist(), h.zhat.tolist()))
+
+
+def test_numeric_rows_match_csv_writer():
+    rows = [(math.nan, math.inf, True), (-math.inf, -0.0, 2**70), (5e-324, 1e16, False),
+            (1e-7, 0.0, -3), (0.1, 1 / 3, 12345678901234567890)]
+    expected = io.StringIO()
+    csv.writer(expected).writerows(rows)
+    written = io.StringIO()
+    _write_numeric_rows(written, rows)
+    assert written.getvalue() == expected.getvalue()
 
 
 def _simulate(n, *flags, **popen):
