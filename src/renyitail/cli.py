@@ -38,19 +38,22 @@ Full schemas per subcommand are documented in docs/formats.md.
 
 _BLOCK_ROWS = 2**14  # simulate's rows converted, formatted and written per block
 
-# per figure id: experiment, default laws, and (n, reps) at desk scale and at
-# the published scale behind --paper-scale (t1 runs its own n grid, so its n
-# is the largest n of that grid)
+# per figure id: experiment, default laws, and the ExperimentConfig settings at
+# desk scale and at the published scale behind --paper-scale; the flags given
+# override them, and ExperimentConfig's own defaults fill in the rest (t1 runs
+# its own n grid, so its n is the largest n of that grid)
 _FIGURES = {
     "1": ("variance_curve", ["unif:gamma=0.5", "bern:gamma=0.5", "exp:gamma=0.5"],
-          (1000, 1000), (1000, 1000)),
+          {"n": 1000, "reps": 1000}, {"n": 1000, "reps": 1000}),
     "2": ("hill_plot", ["pareto:gamma=0.5,c=1", "hall", "unif:gamma=0.5",
-                        "bern:gamma=0.5", "exp:gamma=0.5"], (5000, 1), (5000, 1)),
+                        "bern:gamma=0.5", "exp:gamma=0.5"],
+          {"n": 5000, "reps": 1}, {"n": 5000, "reps": 1}),
     "3": ("coverage", ["unif:gamma=0.5", "bern:gamma=0.5", "exp:gamma=0.5"],
-          (2000, 2000), (5000, 10000)),
+          {"n": 2000, "reps": 2000}, {"n": 5000, "reps": 10000}),
     "t1": ("exp_limit", ["unif:gamma=0.5", "bern:gamma=0.5", "exp:gamma=0.5"],
-           (2000, 20000), (2000, 100000)),
-    "ld": ("ld_check", ["exp:gamma=1"], (2000, 100000), (5000, 1000000)),
+           {"n": 2000, "reps": 20000}, {"n": 2000, "reps": 100000}),
+    "ld": ("ld_check", ["exp:gamma=1"],
+           {"n": 2000, "reps": 100000, "y": 1.5}, {"n": 5000, "reps": 1000000, "y": 1.5}),
 }
 
 
@@ -86,6 +89,13 @@ def _unit_float(text: str) -> float:
     return value
 
 
+def _seed_int(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"expected an integer in 0..2**64-1, got {text}")
+    return value
+
+
 def _spec_arg(text: str):
     try:
         return parse_spec(text)
@@ -111,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spacing law, e.g. exp:gamma=0.5")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--c", type=_positive_float, default=1.0, help="scale floor C")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--stream", type=int, default=0, help="stream index under the seed")
+    p.add_argument("--seed", type=_seed_int, default=DEFAULT_SEED)
+    p.add_argument("--stream", type=_seed_int, default=0, help="stream index under the seed")
     add_io(p)
 
     p = sub.add_parser("estimate", help="tail-index estimate from a sorted data column")
@@ -156,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interval level 1-eps for --id 3 (default 0.1)")
     p.add_argument("--y", type=_finite_float, default=None,
                    help="tail threshold for --id ld (default 1.5)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed_int, default=DEFAULT_SEED)
     p.add_argument("--avg-seeds", type=_positive_int, default=None,
                    help="average the hill plot (--id 2) over this many seeds")
     p.add_argument("--workers", type=_positive_int, default=1,
@@ -186,18 +196,20 @@ _IGNORED_FLAGS = {
     ("figure", "t1"): ("n", "eps", "y", "avg_seeds"),
     ("figure", "ld"): ("eps", "avg_seeds"),
 }
-_FLAG_DEFAULTS = {"estimate": {"s": 0.797, "interval": "spacing"}, "rate": {"r": 1.0},
-                  "figure": {"avg_seeds": 1, "eps": 0.1}}
+_FLAG_DEFAULTS = {"estimate": {"s": 0.797, "interval": "spacing"}, "rate": {"r": 1.0}}
 
 
 def _resolve_flags(args, parser) -> None:
-    """Reject a flag the chosen method ignores (exit 2), then fill in the defaults it reads."""
+    """Reject a flag the chosen method ignores, or a missing one it needs (exit 2),
+    then fill in the defaults it reads."""
     key = {"estimate": "method", "figure": "id"}.get(args.command, "family")
     choice = getattr(args, key, None)
     for name in _IGNORED_FLAGS.get((args.command, choice), ()):
         if getattr(args, name) is not None:
             what = f"with --{key} {choice}" if choice else f"without --{key}"
             parser.error(f"--{name.replace('_', '-')} has no effect {what}")
+    if args.command == "fit" and args.family == "gamma" and args.r is None:
+        parser.error("--family gamma needs --r")
     for name, value in _FLAG_DEFAULTS.get(args.command, {}).items():
         if getattr(args, name) is None:
             setattr(args, name, value)
@@ -205,12 +217,12 @@ def _resolve_flags(args, parser) -> None:
 
 def _effective_seed(args) -> int:
     env = os.environ.get("RENYI_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DataError(f"RENYI_SEED is not an integer: {env!r}") from None
-    return args.seed
+    if env is None:
+        return args.seed
+    try:
+        return _seed_int(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise DataError(f"RENYI_SEED is not an integer in 0..2**64-1: {env!r}") from None
 
 
 def _read_column(path: str, allow_unsorted: bool) -> np.ndarray:
@@ -306,7 +318,7 @@ def _sample_blocks(h: HeavySample, zhat: np.ndarray):
 
 
 def _cmd_simulate(args, argv) -> int:
-    seed = SeedSpec(_effective_seed(args) % 2**64, args.stream % 2**64)
+    seed = SeedSpec(_effective_seed(args), args.stream)
     if not args.spec.is_spacing_law:
         raise DataError(f"{args.spec} is not a spacing law")
     z = draw(args.spec, seed.generator(), args.n)
@@ -323,13 +335,9 @@ def _cmd_simulate(args, argv) -> int:
 def _estimate_record(args, h: HeavySample):
     n = h.n
     k = args.k if args.k is not None else n
-    if k > n:
-        raise DataError(f"k={k} exceeds the sample size {n}")
     if args.method == "hill":
         gamma_hat = estimators.hill(h, k)
         if args.interval == "spacing":
-            if k < 2:
-                raise DataError("the spacing interval needs k >= 2")
             return estimators.ci_spacing(gamma_hat, estimators.spacing_sigma(h, k), k, args.eps)
         if args.interval == "self":
             return estimators.ci_hill_self(gamma_hat, k, args.eps)
@@ -360,13 +368,9 @@ def _cmd_estimate(args, argv) -> int:
 
 
 def _cmd_fit(args, argv) -> int:
-    if args.family == "gamma" and args.r is None:
-        raise DataError("--family gamma needs --r")
     data = _read_column(args.input, args.allow_unsorted)
     h = HeavySample(scale_c=args.c, w=data)
     k = args.k if args.k is not None else h.n
-    if k > h.n:
-        raise DataError(f"k={k} exceeds the sample size {h.n}")
     gamma_hat = likelihood.ml_fit(args.family, h, k, r=args.r)
     table = ReportTable(
         ["family", "r", "gamma_hat", "k_used", "n"],
@@ -404,20 +408,11 @@ def _cmd_rate(args, argv, parser) -> int:
 
 def _cmd_figure(args, argv) -> int:
     experiment, default_specs, desk, paper = _FIGURES[args.id]
-    n, reps = paper if args.paper_scale else desk
-    n = args.n if args.n is not None else n
-    reps = args.reps if args.reps is not None else reps
-    specs = tuple(args.spec) if args.spec else tuple(default_specs)
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        specs=specs,
-        n=n,
-        reps=reps,
-        eps=args.eps,
-        master_seed=_effective_seed(args) % 2**64,
-        y=1.5 if experiment == "ld_check" and args.y is None else args.y,
-        avg_seeds=args.avg_seeds,
-    )
+    settings = dict(paper if args.paper_scale else desk)
+    settings.update((name, getattr(args, name)) for name in ("n", "reps", "eps", "y", "avg_seeds")
+                    if getattr(args, name) is not None)
+    cfg = ExperimentConfig(experiment=experiment, specs=tuple(args.spec or default_specs),
+                           master_seed=_effective_seed(args), **settings)
     start = time.perf_counter()
     table = run_experiment(cfg, workers=args.workers)
     print(f"[{experiment}] wall time {time.perf_counter() - start:.2f}s", file=sys.stderr)

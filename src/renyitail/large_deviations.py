@@ -100,20 +100,16 @@ def rate_function(spec: DistributionSpec, z: float) -> float:
     if z == lo or (z == hi and math.isfinite(hi)):
         p = atom_mass(spec, z)
         return -math.log(p) if p > 0 else math.inf
-    if z == moment(spec, 1):
+    mean = moment(spec, 1)
+    if z == mean:
         return 0.0
 
     g = lambda t: _dual_objective(spec, z, t)
-    if z > moment(spec, 1):
-        if math.isfinite(t_hi):
-            probes = (t_hi * (1.0 - 0.5**i) for i in range(1, 1075))
-        else:
-            probes = (2.0 ** (i - 1) for i in range(1, 300))
+    edge, sign = (t_hi, 1.0) if z > mean else (t_lo, -1.0)  # the side the maximizer lies on
+    if math.isfinite(edge):
+        probes = (edge * (1.0 - 0.5**i) for i in range(1, 1075))
     else:
-        if math.isfinite(t_lo):
-            probes = (t_lo * (1.0 - 0.5**i) for i in range(1, 1075))
-        else:
-            probes = (-(2.0 ** (i - 1)) for i in range(1, 300))
+        probes = (sign * 2.0 ** (i - 1) for i in range(1, 300))
     bracket = _bracket_maximum(g, probes)
     if bracket is None:
         return math.inf

@@ -47,7 +47,9 @@ __all__ = [
 ]
 
 SPACING_KINDS = ("exp", "unif", "bern", "gamma")
-IID_KINDS = ("pareto", "hall")
+# the parameters each law takes, in the order its canonical text names them
+_PARAMS = {"exp": ("gamma",), "unif": ("gamma",), "bern": ("gamma",),
+           "gamma": ("r", "gamma"), "pareto": ("gamma", "c"), "hall": ()}
 
 _HALL_GAMMA = 0.5  # tail index 1/2 is built into Q(1-u) = u^{-1/2}(1 + u/2)
 _HALL_MEAN = 7.0 / 3.0
@@ -68,31 +70,25 @@ class DistributionSpec:
     c: float | None = None
 
     def __post_init__(self):
-        if self.kind not in SPACING_KINDS + IID_KINDS:
+        params = _PARAMS.get(self.kind)
+        if params is None:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         for name in ("gamma", "r", "c"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{self.kind}: {name} must be finite")
+        for name in ("gamma", "r", "c"):
+            value = getattr(self, name)
+            if name in params:
+                if value is None or not value > 0:
+                    raise ValueError(f"{self.kind}: {name} must be positive")
+            elif value is not None and (self.kind, name, value) != ("hall", "gamma", _HALL_GAMMA):
+                # hall's gamma is fixed: restating it is allowed, any other value is not
+                raise ValueError(f"{self.kind}: unexpected parameter {name}")
         if self.kind == "hall":
-            if self.gamma not in (None, _HALL_GAMMA) or self.r is not None or self.c is not None:
-                raise ValueError("hall law takes no parameters")
             object.__setattr__(self, "gamma", _HALL_GAMMA)
-            return
-        if self.gamma is None or not (self.gamma > 0):
-            raise ValueError(f"{self.kind}: gamma must be positive")
-        if self.kind == "bern" and not (0 < self.gamma <= 1):
+        if self.kind == "bern" and not self.gamma <= 1:
             raise ValueError("bern: gamma must lie in (0, 1]")
-        if self.kind == "gamma":
-            if self.r is None or not (self.r > 0):
-                raise ValueError("gamma: shape r must be positive")
-        elif self.r is not None:
-            raise ValueError(f"{self.kind}: unexpected parameter r")
-        if self.kind == "pareto":
-            if self.c is None or not (self.c > 0):
-                raise ValueError("pareto: scale c must be positive")
-        elif self.c is not None:
-            raise ValueError(f"{self.kind}: unexpected parameter c")
 
     @property
     def is_spacing_law(self) -> bool:
@@ -112,15 +108,8 @@ class DistributionSpec:
 
     def canonical(self) -> str:
         """Canonical text form, e.g. ``exp:gamma=0.5``; parse() round-trips it."""
-        if self.kind == "hall":
-            return "hall"
-        parts = []
-        if self.kind == "gamma":
-            parts.append(f"r={self.r!r}")
-        parts.append(f"gamma={self.gamma!r}")
-        if self.kind == "pareto":
-            parts.append(f"c={self.c!r}")
-        return f"{self.kind}:" + ",".join(parts)
+        params = ",".join(f"{name}={getattr(self, name)!r}" for name in _PARAMS[self.kind])
+        return f"{self.kind}:{params}" if params else self.kind
 
     def __str__(self) -> str:
         return self.canonical()
@@ -255,8 +244,7 @@ def replication_map(fn, reps: int, master_seed: int, tag: str,
     if reps < 1:
         raise ValueError("reps must be positive")
     base = _stream_base(tag)
-    if not 0 <= master_seed < 2**64:
-        raise ValueError("master_seed must fit in 64 unsigned bits")
+    SeedSpec(master_seed)  # rejects a seed outside 64 unsigned bits
     first, last = base + start, base + start + reps - 1
     if first < 0 or last >= 2**64:
         raise ValueError(f"streams {first}..{last} of tag {tag!r} "

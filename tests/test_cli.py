@@ -268,9 +268,24 @@ def test_fit_uniform(tmp_path, capsys):
 def test_fit_gamma_needs_r(tmp_path, capsys):
     data = tmp_path / "w.txt"
     data.write_text("1\n2\n")
-    code, _, err = _run(capsys, "fit", str(data), "--family", "gamma", "--c", "1")
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", str(data), "--family", "gamma", "--c", "1"])
+    assert exc.value.code == 2
+    assert "--family gamma needs --r" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--k", "5"),
+    ("fit", "--family", "exponential", "--k", "5"),
+    ("estimate", "--k", "1"),  # the default spacing interval needs k >= 2
+], ids=" ".join)
+def test_k_out_of_range_exit_1(argv, tmp_path, capsys):
+    data = tmp_path / "w.txt"
+    data.write_text("1\n2\n4\n")
+    code, out, err = _run(capsys, argv[0], str(data), "--c", "1", *argv[1:])
     assert code == 1
-    assert "--r" in err
+    assert out == ""
+    assert "k must lie in" in err
 
 
 def test_fit_exponential_matches_hill(tmp_path, capsys):
@@ -330,6 +345,32 @@ def test_env_seed_overrides_flag(monkeypatch, capsys):
     _, plain99, _ = _run(capsys, "simulate", "--spec", "exp:gamma=0.5", "--n", "4",
                          "--c", "1", "--seed", "99")
     assert env99.replace("--seed 7", "--seed 99") == plain99
+
+
+@pytest.mark.parametrize("flags", [("--seed", "-1"), ("--seed", str(2**64)), ("--stream", "-1"),
+                                   ("--stream", str(2**64))], ids=" ".join)
+def test_seed_outside_64_bits_exit_2(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--spec", "exp:gamma=1", "--n", "2", *flags])
+    assert exc.value.code == 2
+    assert "0..2**64-1" in capsys.readouterr().err
+
+
+def test_largest_seed_is_accepted(capsys):
+    code, out, _ = _run(capsys, "simulate", "--spec", "exp:gamma=1", "--n", "2",
+                        "--seed", str(2**64 - 1), "--stream", str(2**64 - 1))
+    assert code == 0
+    assert f"# master_seed={2**64 - 1}" in out
+
+
+@pytest.mark.parametrize("env", ["-1", "-3", str(2**64)])
+def test_env_seed_outside_64_bits_exit_1(env, monkeypatch, capsys):
+    monkeypatch.setenv("RENYI_SEED", env)
+    for argv in (("simulate", "--spec", "exp:gamma=1", "--n", "2"),
+                 ("figure", "--id", "ld", "--reps", "5")):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1
+        assert out == "" and "RENYI_SEED" in err
 
 
 def test_unknown_flag_exit_2():

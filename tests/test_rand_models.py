@@ -123,6 +123,14 @@ def test_parameter_validation():
         rm.gamma_law(0.0, 1.0)
     with pytest.raises(ValueError):
         rm.strict_pareto(0.5, 0.0)
+    with pytest.raises(ValueError, match="unexpected parameter c"):
+        rm.DistributionSpec("exp", gamma=1.0, c=2.0)
+    with pytest.raises(ValueError, match="unexpected parameter r"):
+        rm.DistributionSpec("unif", gamma=1.0, r=2.0)
+    with pytest.raises(ValueError, match="r must be positive"):
+        rm.DistributionSpec("gamma", gamma=1.0)
+    with pytest.raises(ValueError, match="c must be positive"):
+        rm.DistributionSpec("pareto", gamma=0.5)
 
 
 def test_permutation_single():
@@ -218,6 +226,15 @@ def _parse_examples(test):
 @_parse_examples
 def test_parse_round_trip(spec):
     assert rm.parse_spec(spec.canonical()) == spec
+
+
+def test_canonical_text_of_every_law():
+    # the canonical text names every stream tag and config line, so its bytes are pinned
+    specs = (rm.exponential(0.5), rm.uniform(0.5), rm.bernoulli(0.5), rm.gamma_law(2.0, 0.5),
+             rm.strict_pareto(0.5, 1.0), rm.hall_class())
+    assert [spec.canonical() for spec in specs] == [
+        "exp:gamma=0.5", "unif:gamma=0.5", "bern:gamma=0.5", "gamma:r=2.0,gamma=0.5",
+        "pareto:gamma=0.5,c=1.0", "hall"]
 
 
 def test_parse_case_insensitive():
