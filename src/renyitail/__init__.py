@@ -58,7 +58,6 @@ from .rand_models import (
     gamma_law,
     hall_class,
     mgf,
-    mgf_domain,
     moment,
     parse_spec,
     quantile,

@@ -1,10 +1,11 @@
 """Exponential decay rates for Hill-estimator tail probabilities.
 
-``rate_function`` is the Legendre transform I(z) = sup_t (zt - log M(t)) of
-the spacing law's log-mgf; P(hill >= y) decays like exp(-k inf_{x>=y} I(x)).
-For exponential and gamma spacings the tail is available in closed form
-through a log-scale incomplete gamma, which doubles as the deep-tail oracle
-where naive Monte Carlo sees no events.
+``rate_function`` is the Cramér rate I(z) = sup_t (zt - log M(t)) of the
+spacing law, in closed form for the exponential, gamma and Bernoulli laws
+and by one monotone root for the uniform law; P(hill >= y) decays like
+exp(-k inf_{x>=y} I(x)).  For exponential and gamma spacings the tail is
+available in closed form through a log-scale incomplete gamma, which doubles
+as the deep-tail oracle where naive Monte Carlo sees no events.
 """
 
 from __future__ import annotations
@@ -14,17 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rand_models import (
-    DistributionSpec,
-    SeedSpec,
-    atom_mass,
-    draw,
-    mgf,
-    mgf_domain,
-    moment,
-    replication_map,
-    support,
-)
+from .rand_models import DistributionSpec, SeedSpec, draw, moment, replication_map
 
 __all__ = [
     "rate_function",
@@ -36,84 +27,80 @@ __all__ = [
     "mc_tail_logprob",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+def _unif_slope(x: float) -> tuple[float, float]:
+    """f(x) = L'(x) and f'(x) for L(x) = log(expm1(x)/x), x < 0: the log-mgf of
+    unif(0, 1) and its derivatives.  The series serves |x| < 1e-2."""
+    if x > -1e-2:
+        x2 = x * x
+        return (0.5 + x * (1.0 / 12.0 - x2 * (1.0 / 720.0 - x2 / 30240.0)),
+                1.0 / 12.0 - x2 * (1.0 / 240.0 - x2 / 6048.0))
+    em1 = math.expm1(x)
+    return 1.0 + 1.0 / em1 - 1.0 / x, 1.0 / (x * x) - math.exp(x) / (em1 * em1)
 
 
-def _dual_objective(spec: DistributionSpec, z: float, t: float) -> float:
-    m = mgf(spec, t)
-    if math.isinf(m):
-        return -math.inf
-    return z * t - math.log(m)
+def _unif_rate(s: float) -> float:
+    """I at z = s a for unif(0, a), s in (0, 1/2]; I(a - z) = I(z) by symmetry.
 
-
-def _bracket_maximum(g, probes) -> tuple[float, float] | None:
-    """Walk probe points away from 0 until the concave g stops increasing.
-
-    Returns an interval containing the maximizer, or None when g is still
-    rising at the last probe (the supremum is not attained).
+    With x = at, I = s x - L(x) at the root of f(x) = s, which lies in
+    [-1/s, 0).  Safeguarded Newton steps find it; below s = 1/64 the root is
+    -1/s up to a relative e^(-1/s) and I = -1 - log s.
     """
-    tpp, gpp = 0.0, g(0.0)
-    tp, gp = None, None
-    for t in probes:
-        gt = g(t)
-        if tp is None:
-            if gt <= gpp:
-                return (min(0.0, t), max(0.0, t))
-            tp, gp = t, gt
-            continue
-        if gt <= gp:
-            return (min(tpp, t), max(tpp, t))
-        tpp, gpp, tp, gp = tp, gp, t, gt
-    return None
-
-
-def _golden_max(g, lo: float, hi: float) -> float:
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    g1, g2 = g(x1), g(x2)
-    for _ in range(300):
-        if g1 < g2:
-            lo, x1, g1 = x1, x2, g2
-            x2 = lo + _GOLDEN * (hi - lo)
-            g2 = g(x2)
+    if s == 0.5:
+        return 0.0
+    if s < 1.0 / 64.0:
+        return -1.0 - math.log(s)
+    lo, hi = -1.0 / s, 0.0
+    x = 1.0 / (1.0 - s) - 1.0 / s
+    for _ in range(100):
+        fx, dfx = _unif_slope(x)
+        if fx < s:
+            lo = x
         else:
-            hi, x2, g2 = x2, x1, g1
-            x1 = hi - _GOLDEN * (hi - lo)
-            g1 = g(x1)
-        if hi - lo < 1e-12 * (1.0 + abs(lo) + abs(hi)):
+            hi = x
+        step = x - (fx - s) / dfx
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - x) <= 4e-16 * abs(x):
             break
-    return max(g1, g2)
+        x = step
+    if x > -1e-2:  # s x - L(x) with L - x/2 = x^2/24 - x^4/2880 + x^6/181440
+        x2 = x * x
+        return x * (s - 0.5) - x2 * (1.0 / 24.0 - x2 * (1.0 / 2880.0 - x2 / 181440.0))
+    return s * x - math.log(math.expm1(x) / x)
 
 
 def rate_function(spec: DistributionSpec, z: float) -> float:
-    """Legendre transform I(z) = sup_t (z t - log M(t)).
+    """Cramér rate I(z) = sup_t (z t - log M(t)) of a spacing law, with u = z/gamma:
+
+    - exp: u - 1 - log u; gamma(r, r/gamma): r times that;
+    - bern: z log(z/gamma) + (1-z) log((1-z)/(1-gamma)), -log of the atom's
+      mass at z = 0 or 1;
+    - unif(0, a): one root of Lambda'(t) = z, then z t - Lambda(t).
 
     Returns math.inf outside the closed support hull and at a hull endpoint
-    carrying no atom; requires a spec whose mgf is finite near 0.  The
-    maximizer is bracketed by geometric probes that approach a finite mgf
-    boundary without ever evaluating it, then refined by golden section.
+    carrying no atom (for bern:gamma=1, everywhere but z = 1); raises
+    ValueError for a NaN z and for laws without a finite mgf near 0.
     """
-    t_lo, t_hi = mgf_domain(spec)  # rejects Pareto-type laws
-    lo, hi = support(spec)
-    if z < lo or z > hi:
-        return math.inf
-    if z == lo or (z == hi and math.isfinite(hi)):
-        p = atom_mass(spec, z)
-        return -math.log(p) if p > 0 else math.inf
-    mean = moment(spec, 1)
-    if z == mean:
-        return 0.0
-
-    g = lambda t: _dual_objective(spec, z, t)
-    edge, sign = (t_hi, 1.0) if z > mean else (t_lo, -1.0)  # the side the maximizer lies on
-    if math.isfinite(edge):
-        probes = (edge * (1.0 - 0.5**i) for i in range(1, 1075))
-    else:
-        probes = (sign * 2.0 ** (i - 1) for i in range(1, 300))
-    bracket = _bracket_maximum(g, probes)
-    if bracket is None:
-        return math.inf
-    return max(_golden_max(g, *bracket), 0.0)
+    if math.isnan(z):
+        raise ValueError("z must not be NaN")
+    g = spec.gamma
+    if spec.kind in ("exp", "gamma"):
+        u = z / g
+        if not 0.0 < u < math.inf:
+            return math.inf
+        return (spec.r if spec.kind == "gamma" else 1.0) * (u - 1.0 - math.log(u))
+    if spec.kind == "bern":
+        if not 0.0 <= z <= 1.0 or (z < 1.0 and g == 1.0):
+            return math.inf
+        upper = z * math.log(z / g) if z > 0.0 else 0.0
+        lower = (1.0 - z) * math.log((1.0 - z) / (1.0 - g)) if z < 1.0 else 0.0
+        return max(upper + lower, 0.0)  # near the mean the terms cancel to below 0
+    if spec.kind == "unif":
+        a = 2.0 * g
+        s = min(z, a - z) / a  # the distance to the nearer end, exact for z >= a/2
+        return _unif_rate(s) if s > 0.0 else math.inf
+    raise ValueError(f"{spec.kind!r} has no finite mgf in a neighborhood of 0")
 
 
 def gamma_family_rates(r: float, c: float) -> tuple[float, float]:
@@ -143,10 +130,14 @@ def log_gammaincc(a: float, x: float) -> float:
     Continued fraction (modified Lentz) for x > a+1, series for the lower
     function otherwise; relative accuracy in the log around 1e-13.
     """
-    if a <= 0:
+    if not a > 0:
         raise ValueError("shape a must be positive")
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
     if x <= 0.0:
         return 0.0
+    if x == math.inf:
+        return -math.inf
     log_prefactor = -x + a * math.log(x) - math.lgamma(a)
     if x > a + 1.0:
         tiny = 1e-300
@@ -191,6 +182,8 @@ def exact_hill_tail(spec: DistributionSpec, k: int, y: float) -> float:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if math.isnan(y):
+        raise ValueError("y must not be NaN")
     if spec.kind == "exp":
         shape, rate = 1.0, 1.0 / spec.gamma
     elif spec.kind == "gamma":
@@ -215,6 +208,8 @@ class MCTailResult:
 
 def _tail_rate(spec: DistributionSpec, y: float) -> float:
     """inf_{x >= y} I(x): the rate governing P(hill >= y)."""
+    if math.isnan(y):
+        raise ValueError("y must not be NaN")
     if y <= moment(spec, 1):
         return 0.0
     return rate_function(spec, y)

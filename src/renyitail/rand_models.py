@@ -40,7 +40,6 @@ __all__ = [
     "quantile",
     "moment",
     "mgf",
-    "mgf_domain",
     "cf",
     "support",
     "random_permutation",
@@ -415,17 +414,6 @@ def mgf(spec: DistributionSpec, t: float) -> float:
     raise NotImplementedError(f"mgf of {spec.kind!r} has no closed form for t < 0")
 
 
-def mgf_domain(spec: DistributionSpec) -> tuple[float, float]:
-    """Open interval where M(t) is finite."""
-    if spec.kind in ("exp",):
-        return (-math.inf, 1.0 / spec.gamma)
-    if spec.kind == "gamma":
-        return (-math.inf, spec.r / spec.gamma)
-    if spec.kind in ("unif", "bern"):
-        return (-math.inf, math.inf)
-    raise ValueError(f"{spec.kind!r} has no finite mgf in a neighborhood of 0")
-
-
 def cf(spec: DistributionSpec, t):
     """E exp(itZ) for the four spacing laws, t a scalar or an array; uniform as
     e^{ia/2} sinc(a/2) with a = 2 gamma t, which does not cancel near a = 0."""
@@ -457,16 +445,6 @@ def support(spec: DistributionSpec) -> tuple[float, float]:
     if spec.kind == "pareto":
         return (spec.c, math.inf)
     return (1.5, math.inf)  # hall: Q at u -> 1
-
-
-def atom_mass(spec: DistributionSpec, x: float) -> float:
-    """P(Z = x); nonzero only for the Bernoulli law."""
-    if spec.kind == "bern":
-        if x == 1.0:
-            return spec.gamma
-        if x == 0.0:
-            return 1.0 - spec.gamma
-    return 0.0
 
 
 def random_permutation(n: int, seed: SeedSpec) -> np.ndarray:

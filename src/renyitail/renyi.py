@@ -158,10 +158,13 @@ def cross_moment_recursion(spec: DistributionSpec, n: int) -> np.ndarray:
 
     Anchored at C_2 = mu_2/4 + gamma^2/2 and advanced by
 
-        C_nu = mu_2/nu^2 + 2 (gamma/nu)(gamma - gamma/nu) + C_{nu-1} (nu-2)/nu.
+        C_nu = mu_2/nu^2 + 2 (gamma/nu)(gamma - gamma/nu) + C_{nu-1} (nu-2)/nu,
 
-    The recursion runs on Python floats and writes each C_nu through a
-    memoryview of the result.  Entries 0 and 1 of the returned array are NaN.
+    whose solution is C_nu = gamma^2 + (sigma^2 - gamma^2)(nu - H_nu)/(nu(nu-1))
+    with H_nu the harmonic number.  The first two terms are computed in numpy,
+    a block of nu at a time, into the result; only the C_{nu-1} term runs on
+    Python floats, through a memoryview.  Entries 0 and 1 of the returned
+    array are NaN.
     """
     n = operator.index(n)
     if n < 2:
@@ -171,8 +174,11 @@ def cross_moment_recursion(spec: DistributionSpec, n: int) -> np.ndarray:
     if math.isinf(mu2):
         raise ValueError(f"second moment must be finite for {spec}")
     c = np.full(n + 1, np.nan)
+    for lo in range(3, n + 1, 4096):  # blocks keep the temporaries small
+        nu = np.arange(lo, min(lo + 4096, n + 1), dtype=np.float64)
+        c[lo:lo + len(nu)] = mu2 / nu**2 + 2.0 * (g / nu) * (g - g / nu)
     out = memoryview(c)
     prev = out[2] = mu2 / 4.0 + g * g / 2.0
-    for nu in range(3, n + 1):
-        prev = out[nu] = mu2 / nu**2 + 2.0 * (g / nu) * (g - g / nu) + prev * (nu - 2) / nu
+    for i in range(3, n + 1):
+        prev = out[i] = out[i] + prev * (i - 2) / i
     return c

@@ -31,9 +31,18 @@ def test_package_exports_are_listed_in_module_all():
     assert exported - listed == set()
 
 
+def _loaded_by_import(module: str) -> bool:
+    code = ("import sys, renyitail, renyitail.cli; "
+            f"sys.exit({module!r} in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(renyitail.__file__))}
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats roughly doubles the import time; only the t1 runner loads it
-    code = ("import sys, renyitail, renyitail.cli; "
-            "sys.exit('scipy.stats' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(renyitail.__file__))}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert not _loaded_by_import("scipy.stats")
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs ~0.2 s and ~30 MB; rate_function solves its one root itself
+    assert not _loaded_by_import("scipy.optimize")

@@ -56,6 +56,12 @@ def test_rate_spec_point(capsys):
     assert float(row["rate"]) == pytest.approx(1.0 - math.log(2.0), abs=1e-9)
 
 
+def test_rate_degenerate_bernoulli_off_its_atom(capsys):
+    code, out, _ = _run(capsys, "rate", "--spec", "bern:gamma=1", "--z", "0.5")
+    assert code == 0
+    assert _parse_csv(out)[0]["rate"] == "inf"
+
+
 def test_rate_conflicting_modes_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rate", "--family", "gamma", "--spec", "exp:gamma=1", "--z", "1.0"])

@@ -26,7 +26,7 @@ GOLDEN = {
     ("figure", "--id", "t1", "--reps", "2000"):
         "5e1c626b11d671837475df988a753e39fdd59522df8b57524f8a480932efabcd",
     ("figure", "--id", "ld", "--reps", "20000"):
-        "2c07f3ab1a04f7e88a4b957686aed11351a026ac46aa8dfc20f8675546daf699",
+        "33e3050152b999fdb470e4b18993edcf10f82cee22874942842c7dcae391569a",
     ("simulate", "--spec", "exp:gamma=0.5", "--n", "1000", "--seed", "11"):
         "a367e1eee0d7af9545bd15596f77994a3e6e4dceb5cb09f2db2c97c8cdd8e976",
     ("simulate", "--spec", "exp:gamma=0.5", "--n", "1000", "--seed", "11", "--format", "json"):

@@ -69,6 +69,52 @@ def test_rate_divergence_outside_hull():
     assert ld.rate_function(rm.bernoulli(0.5), 1.2) == math.inf
 
 
+def test_rate_degenerate_bernoulli():
+    # bern:gamma=1 is the point mass at 1: zero rate there, infinite elsewhere
+    spec = rm.bernoulli(1.0)
+    for z in (0.0, 5e-324, 0.25, 0.5, 0.999, 1.0 - 2.0**-53):
+        assert ld.rate_function(spec, z) == math.inf
+    assert ld.rate_function(spec, 1.0) == 0.0
+
+
+def _unif_rate_mpmath(g, z):
+    """sup_x (s x - log(expm1(x)/x)) with s = z/(2g), at the root found by mpmath in 50 digits."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(z) / (2 * mpmath.mpf(g))
+        slope = lambda x: 1 / -mpmath.expm1(-x) - 1 / x - s
+        bracket = (-1 / s, mpmath.mpf(-1e-40)) if s < 0.5 else (mpmath.mpf(1e-40), 1 / (1 - s))
+        x = mpmath.findroot(slope, bracket, solver="anderson")
+        return float(s * x - mpmath.log(mpmath.expm1(x) / x))
+
+
+def test_rate_uniform_against_mpmath():
+    # absolute accuracy near the mean, relative accuracy out to both ends of (0, 2g)
+    for g in (0.5, 1.3):
+        for s in (1e-9, 1e-3, 0.0157, 0.2, 0.45, 0.499, 0.4999999, 0.5001, 0.6, 0.9, 0.999,
+                  1.0 - 1e-5):
+            z = 2.0 * g * s
+            got, want = ld.rate_function(rm.uniform(g), z), _unif_rate_mpmath(g, z)
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(["exp", "unif", "bern", "gamma"]), st.floats(0.05, 0.95),
+       st.floats(0.5, 4.0), st.floats(0.001, 0.999), st.floats(-1.0, 0.999))
+def test_rate_dominates_dual_objective(kind, g, r, u, v):
+    """I(z) >= z t - log M(t) for every t where the mgf M is finite."""
+    spec = rm.gamma_law(r, g) if kind == "gamma" else rm.DistributionSpec(kind, gamma=g)
+    z = {"unif": 2.0 * g * u, "bern": u}.get(kind, 5.0 * g * u)
+    t_edge = {"exp": 1.0 / g, "gamma": r / g}.get(kind)  # the mgf's finite edge, if any
+    t = v * t_edge if t_edge is not None and v > 0.0 else v * 30.0 / g
+    assert ld.rate_function(spec, z) >= z * t - math.log(rm.mgf(spec, t)) - 1e-12
+
+
+def test_rate_rejects_nan():
+    for spec in (rm.exponential(1.0), rm.uniform(0.5), rm.bernoulli(0.3), rm.gamma_law(2.0, 1.0)):
+        with pytest.raises(ValueError, match="NaN"):
+            ld.rate_function(spec, math.nan)
+
+
 def test_rate_unsupported_spec():
     with pytest.raises(ValueError):
         ld.rate_function(rm.strict_pareto(0.5, 1.0), 2.0)
@@ -158,6 +204,24 @@ def test_exact_hill_tail_sure_event():
     assert ld.exact_hill_tail(rm.exponential(1.0), 10, -1.0) == 0.0
 
 
+def test_log_gammaincc_rejects_nan():
+    with pytest.raises(ValueError, match="positive"):
+        ld.log_gammaincc(math.nan, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        ld.log_gammaincc(2.0, math.nan)
+
+
+def test_exact_hill_tail_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        ld.exact_hill_tail(rm.exponential(1.0), 5, math.nan)
+
+
+def test_exact_hill_tail_infinite_threshold():
+    # Q(a, inf) = 0; the threshold may also overflow once scaled by k r/gamma
+    assert ld.exact_hill_tail(rm.exponential(1.0), 5, math.inf) == -math.inf
+    assert ld.exact_hill_tail(rm.gamma_law(2.0, 1.0), 3, 1e308) == -math.inf
+
+
 def test_exact_hill_tail_unsupported():
     with pytest.raises(ValueError):
         ld.exact_hill_tail(rm.uniform(0.5), 10, 0.6)
@@ -196,6 +260,11 @@ def test_mc_tail_insufficient_guard_before_sampling():
     assert res.insufficient
     assert res.estimate is None
     assert res.std_error is None
+
+
+def test_mc_tail_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        ld.mc_tail_logprob(rm.exponential(1.0), 10, math.nan, 2000, rm.SeedSpec(3))
 
 
 def test_mc_tail_uniform_against_exact_enumeration():

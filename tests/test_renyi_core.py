@@ -413,6 +413,18 @@ def test_cross_moment_recursion_bit_identical_to_loop():
                                   equal_nan=True)
 
 
+def test_cross_moment_closed_form():
+    """The recursion's solution C_nu = gamma^2 + (sigma^2 - gamma^2)(nu - H_nu)/(nu(nu-1)),
+    with H_nu the harmonic number."""
+    nu = np.arange(2, 80001, dtype=np.float64)
+    harmonic = np.cumsum(1.0 / np.arange(1, 80001))[1:]
+    for spec in _ORACLE_LAWS:
+        g, var = spec.mean, spec.variance
+        want = g * g + (var - g * g) * (nu - harmonic) / (nu * (nu - 1.0))
+        got = renyi.cross_moment_recursion(spec, 80000)[2:]
+        assert np.all(np.abs(got / want - 1.0) <= 1e-12)
+
+
 def test_oracles_at_benchmark_sizes():
     """Closed forms of the exponential law at 1e-9, at the benchmark's oracle sizes."""
     g = 0.7
