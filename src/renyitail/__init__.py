@@ -9,12 +9,9 @@ Monte Carlo experiment harness with a CLI front end.
 """
 
 from .estimators import (
-    EstimateWithCI,
-    ci_hill_self,
-    ci_quantile,
-    ci_spacing,
     h_function,
     h_minimizer,
+    half_width,
     hill,
     hill_trajectory,
     ml_uniform,
@@ -73,7 +70,6 @@ from .renyi import (
     moment_recursion,
     permuted_view,
     psi_n,
-    scaled_log_spacings,
 )
 
 __version__ = "0.1.0"

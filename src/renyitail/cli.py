@@ -27,7 +27,7 @@ from .experiments import (
 )
 from .large_deviations import gamma_family_rates, iid_comparison_rates, rate_function
 from .rand_models import SeedSpec, draw, parse_spec
-from .renyi import HeavySample, heavy_sample, scaled_log_spacings
+from .renyi import HeavySample, heavy_sample
 
 _EPILOG = """\
 output formats:
@@ -328,39 +328,37 @@ def _cmd_simulate(args, argv) -> int:
         {"spec": args.spec.canonical(), "n": args.n, "scale_c": args.c,
          "master_seed": seed.master_seed, "stream": seed.stream_index},
     )
-    _emit(table, args, argv, _sample_blocks(h, scaled_log_spacings(h)))
+    _emit(table, args, argv, _sample_blocks(h, h.zhat))
     return 0
 
 
-def _estimate_record(args, h: HeavySample):
-    n = h.n
-    k = args.k if args.k is not None else n
-    if args.method == "hill":
-        gamma_hat = estimators.hill(h, k)
+def _estimate_record(args, h: HeavySample) -> tuple:
+    """The estimate table's row; every interval is the point +- one half-width,
+    0 for none."""
+    k = args.k if args.k is not None else h.n
+    method, interval, s_cell, scale = args.method, "none", None, None
+    if method == "quantile":
+        k, interval, s_cell = h.n, "quantile_h", args.s
+        point = estimators.quantile_estimator(np.log(h.w) - math.log(h.scale_c), args.s)
+        scale = estimators.spacing_sigma(h, k) * math.sqrt(estimators.h_function(args.s))
+    elif method == "hill":
+        point = estimators.hill(h, k)
         if args.interval == "spacing":
-            return estimators.ci_spacing(gamma_hat, estimators.spacing_sigma(h, k), k, args.eps)
-        if args.interval == "self":
-            return estimators.ci_hill_self(gamma_hat, k, args.eps)
-        return estimators.EstimateWithCI(gamma_hat, gamma_hat, gamma_hat, k,
-                                         1.0 - args.eps, "hill", "none")
-    if args.method == "quantile":
-        gamma_tilde = estimators.quantile_estimator(np.log(h.w) - math.log(h.scale_c), args.s)
-        sigma = estimators.spacing_sigma(h, n)
-        return estimators.ci_quantile(gamma_tilde, sigma, args.s, n, args.eps)
-    gamma_hat = estimators.ml_uniform(h, k)
-    return estimators.EstimateWithCI(gamma_hat, gamma_hat, gamma_hat, k,
-                                     1.0 - args.eps, "ml_uniform", "none")
+            interval, scale = "spacing_variance", estimators.spacing_sigma(h, k)
+        elif args.interval == "self":
+            interval, scale = "hill_self", point
+    else:
+        method, point = "ml_uniform", estimators.ml_uniform(h, k)
+    half = 0.0 if scale is None else estimators.half_width(scale, k, args.eps)
+    return (method, point, point - half, point + half, k, 1.0 - args.eps, interval, s_cell)
 
 
 def _cmd_estimate(args, argv) -> int:
     data = _read_column(args.input, args.allow_unsorted)
     h = HeavySample(scale_c=args.c, w=data)
-    est = _estimate_record(args, h)
-    s_cell = args.s if args.method == "quantile" else None
     table = ReportTable(
         ["method", "gamma_hat", "lower", "upper", "k_used", "level", "interval_method", "s"],
-        [(est.method, est.gamma_hat, est.lower, est.upper, est.k_used,
-          est.level, est.interval_method, s_cell)],
+        [_estimate_record(args, h)],
         {"n": h.n, "scale_c": args.c},
     )
     _emit(table, args, argv)

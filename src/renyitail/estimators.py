@@ -1,24 +1,24 @@
-"""Point estimators of the mean spacing gamma and their confidence intervals.
+"""Point estimators of the mean spacing gamma and their interval half-width.
 
 The Hill estimator is the average of the top-k scaled log-spacings; the
 quantile estimator reads gamma off a single empirical log-quantile and pays
 the variance multiplier h(s); the uniform-spacings ML estimator is half the
-largest top-k spacing.  Interval half-widths follow the normal-limit
-formulas with the requested variance proxy.
+largest top-k spacing.  ``half_width`` is the one normal-limit half-width
+scale * x_eps / sqrt(m): the CLI's intervals and the coverage experiment
+both take it, with scale sigma_hat or gamma_hat over m = k, or
+sigma_hat * sqrt(h(s)) over m = n for the quantile estimator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import lambertw, ndtri
 
-from .renyi import HeavySample, scaled_log_spacings
+from .renyi import HeavySample
 
 __all__ = [
-    "EstimateWithCI",
     "hill",
     "hill_trajectory",
     "quantile_estimator",
@@ -26,27 +26,8 @@ __all__ = [
     "h_minimizer",
     "spacing_sigma",
     "ml_uniform",
-    "ci_spacing",
-    "ci_hill_self",
-    "ci_quantile",
+    "half_width",
 ]
-
-
-@dataclass(frozen=True)
-class EstimateWithCI:
-    """Point estimate with an optional symmetric confidence interval."""
-
-    gamma_hat: float
-    lower: float
-    upper: float
-    k_used: int
-    level: float
-    method: str  # hill | quantile | ml_uniform
-    interval_method: str  # spacing_variance | hill_self | quantile_h | none
-
-    def __post_init__(self):
-        if not (self.lower <= self.gamma_hat <= self.upper):
-            raise ValueError("interval must contain the point estimate")
 
 
 def _check_k(n: int, k, minimum: int = 1) -> tuple[np.ndarray, int]:
@@ -70,7 +51,7 @@ def hill(h: HeavySample, k):
     call bit for bit.
     """
     ks, kmax = _check_k(h.n, k)
-    top = np.cumsum(scaled_log_spacings(h)[::-1][:kmax])
+    top = np.cumsum(h.zhat[::-1][:kmax])
     gamma_hat = top[ks - 1] / ks
     return float(gamma_hat) if ks.ndim == 0 else gamma_hat
 
@@ -138,7 +119,7 @@ def spacing_sigma(h: HeavySample, k):
     c1**2: numpy squares a 0-d scalar and an array element differently in the last bit.
     """
     ks, kmax = _check_k(h.n, k, minimum=2)
-    zhat = scaled_log_spacings(h)[:kmax]
+    zhat = h.zhat[:kmax]
     c1 = np.cumsum(zhat)[ks - 1]
     c2 = np.cumsum(zhat * zhat)[ks - 1]
     sigma = np.sqrt(np.maximum((c2 - c1 * c1 / ks) / (ks - 1), 0.0))
@@ -150,39 +131,13 @@ def ml_uniform(h: HeavySample, k: int) -> float:
     half the maximum of the top-k scaled log-spacings.
     """
     _check_k(h.n, k)
-    zhat = scaled_log_spacings(h)
-    return 0.5 * float(np.max(zhat[h.n - k:]))
+    return 0.5 * float(np.max(h.zhat[h.n - k:]))
 
 
-def _x_eps(eps: float) -> float:
+def half_width(scale, m, eps: float):
+    """Normal-limit interval half-width scale * x_eps / sqrt(m), with
+    x_eps = Phi^-1(1 - eps/2); elementwise over array scale and m.
+    """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    return float(ndtri(1.0 - eps / 2.0))
-
-
-def ci_spacing(gamma_hat: float, sigma_hat: float, k: int, eps: float) -> EstimateWithCI:
-    """Interval gamma_hat +- sigma_hat * x_eps / sqrt(k)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    half = sigma_hat * _x_eps(eps) / math.sqrt(k)
-    return EstimateWithCI(gamma_hat, gamma_hat - half, gamma_hat + half,
-                          k, 1.0 - eps, "hill", "spacing_variance")
-
-
-def ci_hill_self(gamma_hat: float, k: int, eps: float) -> EstimateWithCI:
-    """Interval gamma_hat +- gamma_hat * x_eps / sqrt(k) (iid-style self-normalized)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    half = gamma_hat * _x_eps(eps) / math.sqrt(k)
-    return EstimateWithCI(gamma_hat, gamma_hat - half, gamma_hat + half,
-                          k, 1.0 - eps, "hill", "hill_self")
-
-
-def ci_quantile(gamma_tilde: float, sigma_hat: float, s: float, n: int,
-                eps: float) -> EstimateWithCI:
-    """Interval gamma_tilde +- sigma_hat * sqrt(h(s)) * x_eps / sqrt(n)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    half = sigma_hat * math.sqrt(h_function(s)) * _x_eps(eps) / math.sqrt(n)
-    return EstimateWithCI(gamma_tilde, gamma_tilde - half, gamma_tilde + half,
-                          n, 1.0 - eps, "quantile", "quantile_h")
+    return scale * float(ndtri(1.0 - eps / 2.0)) / np.sqrt(m)

@@ -268,7 +268,8 @@ def run_hill_plot(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
 
 def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     """Fraction of replications whose interval covers gamma, per k and law,
-    for both the spacing-variance and the self-normalized interval.
+    for both the spacing-variance and the self-normalized interval: the
+    ``estimators.half_width`` intervals that ``renyitail estimate`` prints.
     """
     k_grid = cfg.k_grid if cfg.k_grid is not None else default_k_grid(cfg.n)
     if any(k < 2 for k in k_grid):
@@ -276,15 +277,14 @@ def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     cfg = replace(cfg, k_grid=k_grid)
     n = cfg.n
     ks = np.asarray(k_grid)
-    sqrt_k = np.sqrt(ks)
-    x_eps = estimators._x_eps(cfg.eps)
+    unit = estimators.half_width(1.0, ks, cfg.eps)
 
     def one_rep(spec, rng):
         h = _heavy_for(spec, rng, n, cfg.scale_c)
         gh = estimators.hill(h, ks)
         sig = estimators.spacing_sigma(h, ks)
-        dev = np.abs(gh - spec.gamma) * sqrt_k
-        return np.concatenate([(dev <= sig * x_eps), (dev <= gh * x_eps)])
+        dev = np.abs(gh - spec.gamma)
+        return np.concatenate([(dev <= sig * unit), (dev <= gh * unit)])
 
     columns, cols = ["k"], []
     for spec, vals in _per_law(cfg, one_rep, cfg.reps, workers):

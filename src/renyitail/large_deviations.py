@@ -11,6 +11,7 @@ as the deep-tail oracle where naive Monte Carlo sees no events.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,11 @@ def rate_function(spec: DistributionSpec, z: float) -> float:
     g = spec.gamma
     if spec.kind in ("exp", "gamma"):
         u = z / g
-        if not 0.0 < u < math.inf:
+        if not 0.0 < z < math.inf or u == math.inf:
             return math.inf
-        return (spec.r if spec.kind == "gamma" else 1.0) * (u - 1.0 - math.log(u))
+        # a subnormal or zero u has lost its digits: take log u from z and gamma
+        log_u = math.log(u) if u >= sys.float_info.min else math.log(z) - math.log(g)
+        return (spec.r if spec.kind == "gamma" else 1.0) * (u - 1.0 - log_u)
     if spec.kind == "bern":
         if not 0.0 <= z <= 1.0 or (z < 1.0 and g == 1.0):
             return math.inf

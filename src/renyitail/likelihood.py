@@ -38,9 +38,11 @@ class DensityModel:
         self.spec = spec
 
     def log_density(self, x):
-        """log g(x), -inf off the support; scalar in, scalar out."""
+        """log g(x), -inf off the support, ValueError at NaN; scalar in, scalar out."""
         scalar = np.isscalar(x)
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        if np.isnan(x).any():
+            raise ValueError("x must not be NaN")
         g = self.spec.gamma
         out = np.full(x.shape, -np.inf)
         if self.spec.kind == "exp":

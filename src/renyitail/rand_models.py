@@ -341,7 +341,7 @@ def quantile(spec: DistributionSpec, u):
     Accepts a scalar or an array; the Bernoulli case is the 0/1 step.
     """
     arr = np.asarray(u, dtype=np.float64)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails both comparisons
         raise ValueError("quantile argument must lie in (0, 1)")
     g = spec.gamma
     if spec.kind == "exp":
@@ -391,7 +391,9 @@ _LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 def mgf(spec: DistributionSpec, t: float) -> float:
-    """Moment generating function M(t); math.inf where M diverges."""
+    """Moment generating function M(t); math.inf where M diverges, ValueError at NaN."""
+    if math.isnan(t):
+        raise ValueError("t must not be NaN")
     g = spec.gamma
     if spec.kind == "exp":
         return 1.0 / (1.0 - g * t) if t < 1.0 / g else math.inf
@@ -415,9 +417,11 @@ def mgf(spec: DistributionSpec, t: float) -> float:
 
 
 def cf(spec: DistributionSpec, t):
-    """E exp(itZ) for the four spacing laws, t a scalar or an array; uniform as
-    e^{ia/2} sinc(a/2) with a = 2 gamma t, which does not cancel near a = 0."""
+    """E exp(itZ) for the four spacing laws, t a scalar or an array without NaN;
+    uniform as e^{ia/2} sinc(a/2) with a = 2 gamma t, which does not cancel near a = 0."""
     arr = np.asarray(t, dtype=np.float64)
+    if np.isnan(arr).any():
+        raise ValueError("t must not be NaN")
     g = spec.gamma
     if spec.kind == "exp":
         out = 1.0 / (1.0 - 1j * g * arr)

@@ -24,7 +24,6 @@ __all__ = [
     "HeavySample",
     "generalized_renyi",
     "heavy_sample",
-    "scaled_log_spacings",
     "permuted_view",
     "psi_n",
     "moment_recursion",
@@ -59,7 +58,8 @@ class HeavySample:
     @functools.cached_property
     def zhat(self) -> np.ndarray:
         """Scaled log-spacings zhat_k = (n-k+1)(log w_k - log w_{k-1}), w_0 = C;
-        computed on first use, read-only.
+        computed on first use, read-only.  heavy_sample(z, C).zhat recovers z
+        up to roundoff.
         """
         logw = np.log(np.concatenate(([self.scale_c], self.w)))
         zhat = np.diff(logw) * np.arange(self.n, 0, -1)
@@ -85,15 +85,6 @@ def heavy_sample(z, scale_c: float) -> HeavySample:
     if np.any(z < 0):
         raise ValueError("model violation: spacings must be nonnegative")
     return HeavySample(scale_c=scale_c, w=scale_c * np.exp(x))
-
-
-def scaled_log_spacings(h: HeavySample) -> np.ndarray:
-    """Recover zhat_k = (n-k+1)(log w_k - log w_{k-1}) with w_0 = C (read-only,
-    computed once per sample).
-
-    Exact inverse of heavy_sample(z, C) up to roundoff.
-    """
-    return h.zhat
 
 
 def permuted_view(x, perm) -> np.ndarray:

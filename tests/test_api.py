@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -46,3 +47,17 @@ def test_import_leaves_scipy_stats_unloaded():
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs ~0.2 s and ~30 MB; rate_function solves its one root itself
     assert not _loaded_by_import("scipy.optimize")
+
+
+def test_console_scripts_resolve():
+    # pyproject's [project.scripts] targets are only exercised by an installed package
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), target

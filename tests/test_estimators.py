@@ -248,40 +248,41 @@ def test_spacing_sigma_matches_two_pass_std(law, seed, n, data):
         z = rng.gamma(2.0, 0.25, n)
     h = heavy_sample(z, 1.0)
     k = data.draw(st.integers(20, n))
-    zhat = est.scaled_log_spacings(h)[:k]
+    zhat = h.zhat[:k]
     assert est.spacing_sigma(h, k) == pytest.approx(np.std(zhat, ddof=1), rel=1e-12)
 
 
 def test_ci_spacing_hand_value():
-    out = est.ci_spacing(0.5, 0.5, 100, 0.1)
-    assert out.lower == pytest.approx(0.41776, abs=5e-6)
-    assert out.upper == pytest.approx(0.58224, abs=5e-6)
-    assert out.level == 0.9
-    assert out.interval_method == "spacing_variance"
+    # sigma_hat = 0.5 at k = 100: 0.5 * ndtri(0.95) / 10
+    half = est.half_width(0.5, 100, 0.1)
+    assert half == pytest.approx(0.08224, abs=5e-6)
+    assert 0.5 - half == pytest.approx(0.41776, abs=5e-6)
+    assert 0.5 + half == pytest.approx(0.58224, abs=5e-6)
 
 
 def test_ci_zero_sigma_zero_width():
-    out = est.ci_spacing(0.5, 0.0, 100, 0.1)
-    assert out.lower == out.upper == out.gamma_hat == 0.5
+    half = est.half_width(0.0, 100, 0.1)
+    assert 0.5 - half == 0.5 + half == 0.5
 
 
 def test_ci_hill_self_matches_when_sigma_equals_gamma():
-    a = est.ci_spacing(0.5, 0.5, 100, 0.1)
-    b = est.ci_hill_self(0.5, 100, 0.1)
-    assert (a.lower, a.upper) == (b.lower, b.upper)
-    assert b.interval_method == "hill_self"
+    # the self interval is the spacing interval with gamma_hat in place of sigma_hat
+    ks = np.array([10, 100, 1000])
+    spacing = est.half_width(np.full(3, 0.5), ks, 0.1)
+    assert np.array_equal(spacing, est.half_width(0.5, ks, 0.1))
+    assert spacing[1] == est.half_width(0.5, 100, 0.1)
 
 
 def test_ci_quantile_half_width():
-    out = est.ci_quantile(0.5, 0.3, 0.5, 400, 0.1)
+    scale = 0.3 * math.sqrt(est.h_function(0.5))
     half = 0.3 * math.sqrt(est.h_function(0.5)) * special.ndtri(0.95) / 20.0
-    assert out.upper - out.gamma_hat == pytest.approx(half, rel=1e-12)
+    assert est.half_width(scale, 400, 0.1) == pytest.approx(half, rel=1e-12)
 
 
 def test_ci_eps_domain():
     for bad in (0.0, 1.0, 1.2):
         with pytest.raises(ValueError):
-            est.ci_spacing(0.5, 0.5, 10, bad)
+            est.half_width(0.5, 10, bad)
 
 
 def test_ml_uniform_hand_value():

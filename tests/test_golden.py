@@ -45,6 +45,10 @@ ESTIMATES = {
         "a51ebe129657ad0baf1aeb3de2c5e571693172c81ab5c6969f2bf75a49ae8c36",
     ("fit", "--family", "gamma", "--r", "2", "--c", "1"):
         "e1f24a1756880051817f0dd8248cf69a1286730f5a9bbc2792bf01bc7c76b164",
+    ("estimate", "--method", "ml-uniform", "--k", "200", "--c", "1"):
+        "d5d35243d22794c3e121014369d85bc2629332fc25112776e4230e8dcc980c48",
+    ("estimate", "--k", "200", "--interval", "none", "--c", "1"):
+        "3415e952830a191e6d153d53a114d8219b1bef21730f7bf72396d4a4a921efb4",
 }
 
 

@@ -109,6 +109,17 @@ def test_rate_dominates_dual_objective(kind, g, r, u, v):
     assert ld.rate_function(spec, z) >= z * t - math.log(rm.mgf(spec, t)) - 1e-12
 
 
+@pytest.mark.parametrize("spec", [rm.exponential(2.0), rm.gamma_law(2.5, 3.0)], ids=str)
+def test_rate_where_z_over_gamma_underflows(spec):
+    # u = z/gamma is subnormal or 0 here, yet I = r (u - 1 - log u) is finite, above 700 r
+    r = spec.r if spec.kind == "gamma" else 1.0
+    for z in (5e-324, 1e-310):
+        with mpmath.workdps(50):
+            u = mpmath.mpf(z) / mpmath.mpf(spec.gamma)
+            want = float(r * (u - 1 - mpmath.log(u)))
+        assert ld.rate_function(spec, z) == pytest.approx(want, rel=1e-12)
+
+
 def test_rate_rejects_nan():
     for spec in (rm.exponential(1.0), rm.uniform(0.5), rm.bernoulli(0.3), rm.gamma_law(2.0, 1.0)):
         with pytest.raises(ValueError, match="NaN"):

@@ -29,6 +29,15 @@ def test_density_normalization(spec):
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("spec", [rm.exponential(0.5), rm.uniform(0.5), rm.gamma_law(2.0, 0.5)],
+                         ids=str)
+def test_log_density_rejects_nan(spec):
+    model = lk.DensityModel(spec)
+    for bad in (math.nan, np.array([0.3, math.nan])):
+        with pytest.raises(ValueError):
+            model.log_density(bad)
+
+
 def test_ordered_density_two_exponentials():
     # n = k = 2 with unit-rate exponential spacings: p(y1, y2) = 2 e^{-y1-y2}
     model = lk.DensityModel(rm.exponential(1.0))

@@ -58,6 +58,30 @@ def test_quantile_domain_edges_error():
             rm.quantile(rm.hall_class(), bad)
 
 
+ALL_LAWS = [rm.exponential(0.5), rm.uniform(0.5), rm.bernoulli(0.5), rm.gamma_law(2.0, 0.5),
+            rm.strict_pareto(0.5, 1.0), rm.hall_class()]
+
+
+@pytest.mark.parametrize("spec", ALL_LAWS, ids=str)
+def test_quantile_rejects_nan(spec):
+    for bad in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError):
+            rm.quantile(spec, bad)
+
+
+@pytest.mark.parametrize("spec", ALL_LAWS, ids=str)
+def test_mgf_rejects_nan(spec):
+    with pytest.raises(ValueError):
+        rm.mgf(spec, math.nan)
+
+
+@pytest.mark.parametrize("spec", ALL_LAWS[:4], ids=str)
+def test_cf_rejects_nan(spec):
+    for bad in (math.nan, np.array([0.3, math.nan])):
+        with pytest.raises(ValueError):
+            rm.cf(spec, bad)
+
+
 def test_bernoulli_quantile_step():
     spec = rm.bernoulli(0.3)
     assert rm.quantile(spec, 0.69) == 0.0
