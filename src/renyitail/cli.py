@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_unit_float, default=None,
                    help="quantile level for --method quantile (default 0.797)")
     p.add_argument("--c", type=_positive_float, required=True, help="scale floor C of the model")
-    p.add_argument("--eps", type=_unit_float, default=0.1, help="interval level 1-eps")
+    p.add_argument("--eps", type=_unit_float, default=None,
+                   help="interval level 1-eps (default 0.1)")
     p.add_argument("--interval", choices=("spacing", "self", "none"), default=None,
                    help="interval for --method hill (default spacing)")
     p.add_argument("--allow-unsorted", action="store_true",
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 _IGNORED_FLAGS = {
     ("estimate", "hill"): ("s",),
     ("estimate", "quantile"): ("k", "interval"),
-    ("estimate", "ml-uniform"): ("s", "interval"),
+    ("estimate", "ml-uniform"): ("s", "interval", "eps"),
     ("fit", "exponential"): ("r",),
     ("fit", "uniform"): ("r",),
     ("rate", "iid"): ("r",),
@@ -196,7 +197,8 @@ _IGNORED_FLAGS = {
     ("figure", "t1"): ("n", "eps", "y", "avg_seeds"),
     ("figure", "ld"): ("eps", "avg_seeds"),
 }
-_FLAG_DEFAULTS = {"estimate": {"s": 0.797, "interval": "spacing"}, "rate": {"r": 1.0}}
+_FLAG_DEFAULTS = {"estimate": {"s": 0.797, "interval": "spacing", "eps": 0.1},
+                  "rate": {"r": 1.0}}
 
 
 def _resolve_flags(args, parser) -> None:
@@ -208,6 +210,8 @@ def _resolve_flags(args, parser) -> None:
         if getattr(args, name) is not None:
             what = f"with --{key} {choice}" if choice else f"without --{key}"
             parser.error(f"--{name.replace('_', '-')} has no effect {what}")
+    if args.command == "estimate" and args.interval == "none" and args.eps is not None:
+        parser.error("--eps has no effect with --interval none")
     if args.command == "fit" and args.family == "gamma" and args.r is None:
         parser.error("--family gamma needs --r")
     for name, value in _FLAG_DEFAULTS.get(args.command, {}).items():

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import lambertw, ndtri
 
 from .renyi import HeavySample
 
@@ -106,6 +105,8 @@ def h_minimizer() -> tuple[float, float]:
     That is the nonzero root of 1 - s = e^(-2s), s0 = 1 + W0(-2e^-2)/2 with the
     principal Lambert W branch; returns (s0, h(s0)).
     """
+    from scipy.special import lambertw  # imported here: scipy.special doubles start-up
+
     s0 = 1.0 + 0.5 * float(lambertw(-2.0 * math.exp(-2.0)).real)
     return s0, h_function(s0)
 
@@ -140,4 +141,6 @@ def half_width(scale, m, eps: float):
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
+    from scipy.special import ndtri  # imported here: scipy.special doubles start-up
+
     return scale * float(ndtri(1.0 - eps / 2.0)) / np.sqrt(m)

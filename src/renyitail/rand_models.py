@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import gammaincinv
 
 __all__ = [
     "DistributionSpec",
@@ -351,6 +350,8 @@ def quantile(spec: DistributionSpec, u):
     elif spec.kind == "bern":
         out = np.where(arr <= 1.0 - g, 0.0, 1.0)
     elif spec.kind == "gamma":
+        from scipy.special import gammaincinv  # imported here: scipy.special doubles start-up
+
         out = gammaincinv(spec.r, arr) * (g / spec.r)
     elif spec.kind == "pareto":
         out = spec.c * (1.0 - arr) ** (-g)

@@ -32,21 +32,48 @@ def test_package_exports_are_listed_in_module_all():
     assert exported - listed == set()
 
 
+_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(renyitail.__file__))}
+
+
 def _loaded_by_import(module: str) -> bool:
     code = ("import sys, renyitail, renyitail.cli; "
             f"sys.exit({module!r} in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(renyitail.__file__))}
-    return subprocess.run([sys.executable, "-c", code], env=env).returncode != 0
+    return subprocess.run([sys.executable, "-c", code], env=_ENV).returncode != 0
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats roughly doubles the import time; only the t1 runner loads it
+    # scipy.stats adds ~0.9 s and ~64 MB to the package's own ~0.1 s, 35 MB
+    # import; only the t1 runner loads it
     assert not _loaded_by_import("scipy.stats")
 
 
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs ~0.2 s and ~30 MB; rate_function solves its one root itself
     assert not _loaded_by_import("scipy.optimize")
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special doubles start-up; half_width, h_minimizer and the gamma-law
+    # quantile load it on first use
+    assert not _loaded_by_import("scipy.special")
+
+
+@pytest.mark.parametrize("argv", [
+    ("rate", "--spec", "exp:gamma=1", "--z", "1.5"),
+    ("simulate", "--spec", "exp:gamma=1", "--n", "50"),
+    ("fit", "DATA", "--family", "exponential", "--c", "1"),
+    ("estimate", "DATA", "--interval", "none", "--c", "1"),
+    ("figure", "--id", "ld", "--reps", "50"),
+], ids=" ".join)
+def test_command_leaves_scipy_special_unloaded(argv, tmp_path):
+    data = tmp_path / "w.txt"
+    data.write_text("1\n2\n4\n8\n")
+    argv = [str(data) if arg == "DATA" else arg for arg in argv]
+    code = ("import sys; from renyitail.cli import main; status = main(sys.argv[1:]); "
+            "print('exit', status, 'scipy.special' in sys.modules, file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=_ENV,
+                            capture_output=True, text=True)
+    assert result.stderr.endswith("exit 0 False\n"), result.stderr
 
 
 def test_console_scripts_resolve():

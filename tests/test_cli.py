@@ -458,6 +458,10 @@ IGNORED_FLAGS = [
     (("estimate", "-", "--s", "0.5", "--c", "1"), "--s has no effect with --method hill"),
     (("estimate", "-", "--method", "ml-uniform", "--s", "0.5", "--c", "1"),
      "--s has no effect with --method ml-uniform"),
+    (("estimate", "-", "--method", "ml-uniform", "--eps", "0.05", "--c", "1"),
+     "--eps has no effect with --method ml-uniform"),
+    (("estimate", "-", "--interval", "none", "--eps", "0.05", "--c", "1"),
+     "--eps has no effect with --interval none"),
     (("fit", "-", "--family", "exponential", "--r", "2", "--c", "1"),
      "--r has no effect with --family exponential"),
     (("fit", "-", "--family", "uniform", "--r", "2", "--c", "1"),

@@ -89,6 +89,20 @@ def test_bernoulli_quantile_step():
     assert rm.quantile(spec, 0.71) == 1.0
 
 
+@pytest.mark.parametrize("r, g", [(0.5, 1.0), (2.0, 0.5), (7.5, 3.0)])
+def test_gamma_quantile_inverts_the_cdf(r, g):
+    # shape r, rate r/g: F(x) = P(r, r x / g), the regularized lower incomplete gamma
+    spec = rm.gamma_law(r, g)
+    us = np.array([1e-6, 0.05, 0.5, 0.9, 0.999])
+    for u in us.tolist():
+        q = rm.quantile(spec, u)
+        assert type(q) is float
+        assert special.gammainc(r, r / g * q) == pytest.approx(u, rel=1e-12)
+    qs = rm.quantile(spec, us)
+    assert isinstance(qs, np.ndarray) and qs.shape == us.shape
+    np.testing.assert_allclose(special.gammainc(r, r / g * qs), us, rtol=1e-12)
+
+
 def test_uniform_second_moment():
     assert rm.moment(rm.uniform(0.5), 2) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
