@@ -34,6 +34,8 @@ def _check_k(n: int, k, minimum: int = 1) -> tuple[np.ndarray, int]:
     ks = np.asarray(k)
     if ks.dtype.kind not in "iu" or ks.ndim > 1 or ks.size == 0:
         raise ValueError(f"k must be an integer or a nonempty 1-d integer array, got {k!r}")
+    if n < minimum:  # no k fits, whatever k was asked for
+        raise ValueError(f"the sample needs at least {minimum} values, got {n}")
     kmax = int(ks.max())
     if ks.min() < minimum or kmax > n:
         raise ValueError(f"k must lie in {minimum}..{n}, got {k}")

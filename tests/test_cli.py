@@ -280,18 +280,24 @@ def test_fit_gamma_needs_r(tmp_path, capsys):
     assert "--family gamma needs --r" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ("estimate", "--k", "5"),
-    ("fit", "--family", "exponential", "--k", "5"),
-    ("estimate", "--k", "1"),  # the default spacing interval needs k >= 2
-], ids=" ".join)
-def test_k_out_of_range_exit_1(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, text, message", [
+    pytest.param(argv, "1\n2\n4\n", "k must lie in", id=" ".join(argv)) for argv in [
+        ("estimate", "--k", "5"),
+        ("fit", "--family", "exponential", "--k", "5"),
+        ("estimate", "--k", "1"),  # the default spacing interval needs k >= 2
+    ]
+] + [
+    # one value is too few for the spacing interval, with or without --k
+    pytest.param(argv, "3\n", "needs at least 2 values, got 1", id=" ".join(argv) + " one value")
+    for argv in [("estimate",), ("estimate", "--method", "quantile")]
+])
+def test_k_out_of_range_exit_1(argv, text, message, tmp_path, capsys):
     data = tmp_path / "w.txt"
-    data.write_text("1\n2\n4\n")
+    data.write_text(text)
     code, out, err = _run(capsys, argv[0], str(data), "--c", "1", *argv[1:])
     assert code == 1
     assert out == ""
-    assert "k must lie in" in err
+    assert message in err
 
 
 def test_fit_exponential_matches_hill(tmp_path, capsys):
@@ -411,7 +417,7 @@ def _estimate_from(source, text, tmp_path, monkeypatch, capsys, *flags):
         path, where = "-", "<stdin>"
     else:
         data = tmp_path / "w.txt"
-        data.write_text(text)
+        data.write_text(text, encoding="utf-8")
         path = where = str(data)
     return (*_run(capsys, "estimate", path, "--c", "1", *flags), where)
 
@@ -426,6 +432,8 @@ def _estimate_from(source, text, tmp_path, monkeypatch, capsys, *flags):
     ("1\n2\ninf\n", ":3: data must be positive and finite"),
     ("0\nfoo\n", ":1: data must be positive and finite"),  # the first bad line wins
     ("foo\n0\n", ":1: not a number: 'foo'"),
+    ("1\n1.5\x00\n", ":2: not a number: '1.5\\x00'"),  # numpy's own str cast takes it
+    ("1\n0x10\n", ":2: not a number: '0x10'"),
     ("", ": no data"),
     (" \n\t\n\n", ": no data"),
 ])
@@ -442,7 +450,8 @@ def test_read_column_padding_and_blank_lines(source, tmp_path, monkeypatch, caps
     code, plain, _, _ = _estimate_from(source, "1\n2\n4\n8\n", tmp_path, monkeypatch, capsys,
                                        *flags)
     assert code == 0
-    for text in ("  1 \n\t2\n4  \n 8\t\n", "\n1\n\n2\n4\n \n8\n\n"):
+    for text in ("  1 \n\t2\n4  \n 8\t\n", "\n1\n\n2\n4\n \n8\n\n",
+                 "1.0\n2e0\n4_0e-1\n8\n", "\u0661\n\u0662\n\u0664\n\u0668\n"):  # Arabic-Indic 1 2 4 8
         code, out, _, _ = _estimate_from(source, text, tmp_path, monkeypatch, capsys, *flags)
         assert code == 0
         assert out.split("\r\n")[1:] == plain.split("\r\n")[1:]  # all but the invocation
