@@ -52,9 +52,17 @@ def hill(h: HeavySample, k):
     call bit for bit.
     """
     ks, kmax = _check_k(h.n, k)
-    top = np.cumsum(h.zhat[::-1][:kmax])
-    gamma_hat = top[ks - 1] / ks
+    gamma_hat = _hill(h.zhat, ks - 1, ks, kmax)
     return float(gamma_hat) if ks.ndim == 0 else gamma_hat
+
+
+def _hill(zhat: np.ndarray, idx, ks, kmax: int):
+    """hill's formula on checked input: idx = k - 1, ks = k, kmax = max k.
+
+    ks may be int or float64: the divisions convert an int k exactly, so the
+    bits are the same, and a float64 ks spares a caller that loops that conversion.
+    """
+    return np.cumsum(zhat[::-1][:kmax])[idx] / ks
 
 
 def hill_trajectory(h: HeavySample) -> np.ndarray:
@@ -122,19 +130,26 @@ def spacing_sigma(h: HeavySample, k):
     c1**2: numpy squares a 0-d scalar and an array element differently in the last bit.
     """
     ks, kmax = _check_k(h.n, k, minimum=2)
-    zhat = h.zhat[:kmax]
-    c1 = np.cumsum(zhat)[ks - 1]
-    c2 = np.cumsum(zhat * zhat)[ks - 1]
-    sigma = np.sqrt(np.maximum((c2 - c1 * c1 / ks) / (ks - 1), 0.0))
+    sigma = _spacing_sigma(h.zhat, ks - 1, ks, kmax)
     return float(sigma) if ks.ndim == 0 else sigma
+
+
+def _spacing_sigma(zhat: np.ndarray, idx, ks, kmax: int):
+    """spacing_sigma's formula on checked input, with the arguments of ``_hill``."""
+    zhat = zhat[:kmax]
+    c1 = np.cumsum(zhat)[idx]
+    c2 = np.cumsum(zhat * zhat)[idx]
+    return np.sqrt(np.maximum((c2 - c1 * c1 / ks) / (ks - 1.0), 0.0))
 
 
 def ml_uniform(h: HeavySample, k: int) -> float:
     """ML estimate of gamma under uniform(0, 2*gamma) spacings:
     half the maximum of the top-k scaled log-spacings.
     """
-    _check_k(h.n, k)
-    return 0.5 * float(np.max(h.zhat[h.n - k:]))
+    ks, _ = _check_k(h.n, k)
+    if ks.ndim:  # the slice below needs one k
+        raise ValueError(f"k must be an integer, got {k!r}")
+    return 0.5 * float(np.max(h.zhat[h.n - int(ks):]))
 
 
 def half_width(scale, m, eps: float):

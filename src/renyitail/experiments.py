@@ -28,7 +28,7 @@ from .rand_models import (
     replication_map,
     support,
 )
-from .renyi import HeavySample, cross_moment_recursion, heavy_sample
+from .renyi import HeavySample, _descending, cross_moment_recursion, heavy_sample
 
 __all__ = [
     "DEFAULT_SEED",
@@ -228,7 +228,7 @@ def run_variance_curve(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     cfg = replace(cfg, s_grid=s_grid)
     n = cfg.n
     idx, denom = estimators._quantile_terms(n, s_grid)
-    weights = 1.0 / np.arange(n, 0, -1)
+    weights = 1.0 / _descending(n)
 
     def one_rep(spec, rng):
         x = np.cumsum(draw(spec, rng, n) * weights)
@@ -272,17 +272,17 @@ def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     ``estimators.half_width`` intervals that ``renyitail estimate`` prints.
     """
     k_grid = cfg.k_grid if cfg.k_grid is not None else default_k_grid(cfg.n)
-    if any(k < 2 for k in k_grid):
-        raise ValueError("coverage needs k >= 2 for the spacing variance")
     cfg = replace(cfg, k_grid=k_grid)
     n = cfg.n
-    ks = np.asarray(k_grid)
+    # checked once here, not per replication: the spacing variance needs k >= 2
+    ks, kmax = estimators._check_k(n, k_grid, minimum=2)
+    idx, ksf = ks - 1, ks.astype(np.float64)
     unit = estimators.half_width(1.0, ks, cfg.eps)  # before the fork: loads scipy.special once
 
     def one_rep(spec, rng):
-        h = _heavy_for(spec, rng, n, cfg.scale_c)
-        gh = estimators.hill(h, ks)
-        sig = estimators.spacing_sigma(h, ks)
+        zhat = _heavy_for(spec, rng, n, cfg.scale_c).zhat
+        gh = estimators._hill(zhat, idx, ksf, kmax)
+        sig = estimators._spacing_sigma(zhat, idx, ksf, kmax)
         dev = np.abs(gh - spec.gamma)
         return np.concatenate([(dev <= sig * unit), (dev <= gh * unit)])
 
@@ -315,7 +315,7 @@ def run_exponential_limit(cfg: ExperimentConfig, workers: int = 1) -> ReportTabl
         columns += [f"{tagc}_ks", f"{tagc}_corr", f"{tagc}_m11", f"{tagc}_m11_exact"]
     rows = []
     for m in n_grid:
-        weights = 1.0 / np.arange(m, 0, -1)
+        weights = 1.0 / _descending(m)
 
         def one_rep(spec, rng):
             x = np.cumsum(draw(spec, rng, m) * weights)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .estimators import hill, ml_uniform
 from .rand_models import DistributionSpec
-from .renyi import HeavySample
+from .renyi import HeavySample, _descending
 
 __all__ = [
     "DensityModel",
@@ -100,7 +100,7 @@ def permuted_density(model: DensityModel, y, log: bool = False) -> float:
     n = len(y)
     s = np.sort(y)
     diffs = np.diff(np.concatenate(([0.0], s)))
-    val = float(np.sum(model.log_density(np.arange(n, 0, -1) * diffs)))
+    val = float(np.sum(model.log_density(_descending(n) * diffs)))
     return val if log else math.exp(val)
 
 
@@ -122,7 +122,7 @@ def conditional_log_likelihood(model: DensityModel, w, n: int) -> float:
     if np.any(w <= 0.0) or np.any(np.diff(w) < 0.0):
         raise ValueError("w must be positive and nondecreasing")
     logw = np.log(w)
-    coef = np.arange(k, 0, -1).astype(np.float64)  # n-j+1 for j = n-k+1..n
+    coef = _descending(k)  # n-j+1 for j = n-k+1..n
     zhat = coef * np.diff(logw)
     return float(math.lgamma(k + 1) + np.sum(model.log_density(zhat)) - np.sum(logw[1:]))
 

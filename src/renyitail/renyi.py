@@ -3,7 +3,11 @@
 The central construction turns iid values z_1..z_n into the nondecreasing
 sequence x_k = sum_{j<=k} z_j / (n+1-j); exponentiating and scaling gives a
 heavy-tailed sample w_k = C exp(x_k) whose scaled log-spacings recover the
-z's exactly.  The oracles at the bottom (psi_n, moment recursions) evaluate
+z's exactly.  The weights c_l = n+1-l have one owner, ``_descending(n)``: a
+cached read-only float64 array n, n-1, ..., 1 that the construction, the
+spacings, psi_n, the experiments' inline constructions and the full-sample
+likelihoods all read, so a replication neither rebuilds it nor converts it
+from int.  The oracles at the bottom (psi_n, moment recursions) evaluate
 finite-n expectations of a randomly reordered coordinate X_{D,n} without
 any simulation: psi_n as one cumulative product (O(n) memory), the moment
 recursion as one telescoped cumulative sum per order (O(k_max^2 n) work).
@@ -31,6 +35,18 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=8)
+def _descending(n: int) -> np.ndarray:
+    """c_l = n+1-l for l = 1..n, i.e. n, n-1, ..., 1, as a read-only float64 array.
+
+    Exact below 2^53, so dividing or multiplying by it gives the same bits
+    as by the int64 arange it replaces.
+    """
+    c = np.arange(n, 0, -1, dtype=np.float64)
+    c.flags.writeable = False
+    return c
+
+
 @dataclass(frozen=True)
 class HeavySample:
     """Nondecreasing positive sample w with scale floor C (w_0 := C)."""
@@ -45,7 +61,7 @@ class HeavySample:
         if w.ndim != 1 or len(w) < 1:
             raise ValueError("w must be a nonempty 1-d sequence")
         # NaN fails every comparison, and in a nondecreasing w an inf must sit at the end
-        if not (w[0] >= self.scale_c and math.isfinite(w[-1]) and np.all(np.diff(w) >= 0)):
+        if not (w[0] >= self.scale_c and math.isfinite(w[-1]) and np.all(w[1:] >= w[:-1])):
             raise ValueError("w must be finite and nondecreasing with w[0] >= C")
         w = w.view()
         w.flags.writeable = False  # zhat is cached from w
@@ -62,7 +78,7 @@ class HeavySample:
         up to roundoff.
         """
         logw = np.log(np.concatenate(([self.scale_c], self.w)))
-        zhat = np.diff(logw) * np.arange(self.n, 0, -1)
+        zhat = np.diff(logw) * _descending(self.n)
         zhat.flags.writeable = False
         return zhat
 
@@ -72,7 +88,7 @@ def generalized_renyi(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or len(z) == 0:
         raise ValueError("z must be a nonempty 1-d sequence")
-    x = np.cumsum(z / np.arange(len(z), 0, -1))
+    x = np.cumsum(z / _descending(len(z)))
     if not math.isfinite(x[-1]):  # a NaN or inf in z reaches the last prefix sum
         raise ValueError("z must be finite, with prefix sums that do not overflow")
     return x
@@ -82,9 +98,13 @@ def heavy_sample(z, scale_c: float) -> HeavySample:
     """w_k = C exp(x_k) from the spacings z; requires nonnegative z so that w is ordered."""
     z = np.asarray(z, dtype=np.float64)
     x = generalized_renyi(z)
-    if np.any(z < 0):
+    if z.min() < 0:  # z is finite: generalized_renyi checked its last prefix sum
         raise ValueError("model violation: spacings must be nonnegative")
-    return HeavySample(scale_c=scale_c, w=scale_c * np.exp(x))
+    with np.errstate(over="ignore"):  # reported below, not warned
+        w = scale_c * np.exp(x)
+    if w[-1] == math.inf:  # w is nondecreasing, so an overflow reaches its end
+        raise ValueError(f"C*exp(x_n) overflows float64: C = {scale_c:g}, x_n = {float(x[-1]):g}")
+    return HeavySample(scale_c=scale_c, w=w)
 
 
 def permuted_view(x, perm) -> np.ndarray:
@@ -109,7 +129,7 @@ def psi_n(spec: DistributionSpec, n: int, t: float) -> complex:
         raise ValueError("n must be at least 1")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    return complex(np.cumprod(cf(spec, t / np.arange(n, 0, -1))).sum()) / n
+    return complex(np.cumprod(cf(spec, t / _descending(n))).sum()) / n
 
 
 def moment_recursion(spec: DistributionSpec, k_max: int, n: int) -> np.ndarray:

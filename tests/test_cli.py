@@ -300,6 +300,19 @@ def test_k_out_of_range_exit_1(argv, text, message, tmp_path, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize("flags, values", [
+    (("--spec", "exp:gamma=400"), "C = 1, x_n = 775.585"),
+    (("--spec", "exp:gamma=1", "--c", "1e308"), "C = 1e+308, x_n = 1.93896"),
+], ids=["exp overflows", "C times exp overflows"])
+def test_simulate_overflow_exit_1_without_a_warning(flags, values):
+    # a subprocess, so stderr shows any numpy warning under the default filters
+    done = subprocess.run([sys.executable, "-m", "renyitail.cli", "simulate", "--n", "5",
+                           "--seed", "1", *flags], capture_output=True, text=True, env=_ENV)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == f"renyitail: error: C*exp(x_n) overflows float64: {values}\n"
+
+
 def test_fit_exponential_matches_hill(tmp_path, capsys):
     data = tmp_path / "w.txt"
     data.write_text("1\n2\n4\n8\n")

@@ -76,6 +76,14 @@ def test_hill_k_domain():
             est.hill(h, bad)
 
 
+def test_ml_uniform_k_domain():
+    h = _heavy([1.0, 2.0, 4.0])
+    for bad in (0, 4, np.array([1, 2]), np.array([2]), np.array([1.0])):
+        with pytest.raises(ValueError):
+            est.ml_uniform(h, bad)
+    assert est.ml_uniform(h, np.array(2)) == est.ml_uniform(h, 2)
+
+
 def test_hill_unbiased_at_full_sample():
     # hill(n) is the mean of n iid spacings, so its expectation is gamma
     n, reps, g = 5000, 10**4, 0.5

@@ -5,12 +5,14 @@ import io
 import json
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from renyitail import estimators as est
 from renyitail import experiments as ex
 from renyitail import rand_models as rm
 from renyitail.estimators import h_function
@@ -385,6 +387,36 @@ def test_coverage_rejects_k_below_two():
         ex.run_coverage(ex.ExperimentConfig(
             experiment="coverage", specs=("exp:gamma=0.5",), n=100, reps=10,
             k_grid=(1, 50)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_coverage_kernels_match_public_estimators(workers):
+    # run_coverage checks its grid once and calls the private kernels; the
+    # public hill/spacing_sigma on the same streams must give the same table,
+    # and the kernels the same values bit for bit
+    n, k_grid = 60, (2, 7, 30, 60)
+    cfg = ex.ExperimentConfig(experiment="coverage", specs=("unif:gamma=0.5", "pareto:gamma=0.5,c=1"),
+                              n=n, reps=30, master_seed=41, scale_c=2.5, k_grid=k_grid)
+    table = ex.run_coverage(cfg, workers=workers)
+    ks = np.array(k_grid)
+    unit = est.half_width(1.0, ks, cfg.eps)
+
+    def reference(spec, rng):
+        h = ex._heavy_for(spec, rng, n, cfg.scale_c)
+        gh, sig = est.hill(h, ks), est.spacing_sigma(h, ks)
+        kernel_args = (ks - 1, ks.astype(np.float64), n)
+        assert np.array_equal(est._hill(h.zhat, *kernel_args), gh)
+        assert np.array_equal(est._spacing_sigma(h.zhat, *kernel_args), sig)
+        assert [est.hill(h, int(k)) for k in ks] == gh.tolist()
+        assert [est.spacing_sigma(h, int(k)) for k in ks] == sig.tolist()
+        dev = np.abs(gh - spec.gamma)
+        return np.concatenate([(dev <= sig * unit), (dev <= gh * unit)])
+
+    for spec in cfg.specs:
+        freq = np.mean(ex.replication_map(partial(reference, spec), cfg.reps, cfg.master_seed,
+                                          f"coverage/{spec.canonical()}"), axis=0)
+        assert table.column(f"{spec.canonical()}_spacing") == freq[:len(ks)].tolist()
+        assert table.column(f"{spec.canonical()}_self") == freq[len(ks):].tolist()
 
 
 def test_exponential_limit_exact_law_and_convergence():

@@ -1,6 +1,7 @@
 """Construction round trips and the exact finite-n oracles."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -64,14 +65,38 @@ def test_heavy_sample_constant():
 
 
 def test_heavy_sample_rejects_negative_spacings():
-    with pytest.raises(ValueError, match="model violation"):
-        renyi.heavy_sample([0.5, -0.1, 0.2], 1.0)
+    for z in ([0.5, -0.1, 0.2], [0.5, -1e-300, 0.2]):
+        with pytest.raises(ValueError, match="model violation"):
+            renyi.heavy_sample(z, 1.0)
 
 
 def test_heavy_sample_rejects_bad_scale():
     for c in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="scale C must be positive"):
             renyi.heavy_sample([0.5, 0.1], c)
+
+
+def test_heavy_sample_accepts_negative_zero_spacing():
+    assert np.array_equal(renyi.heavy_sample([0.5, -0.0, 0.2], 1.0).w,
+                          renyi.heavy_sample([0.5, 0.0, 0.2], 1.0).w)
+
+
+@pytest.mark.parametrize("z, c", [([800.0], 1.0), ([2.0, 1.0], 1e308)], ids=["exp", "multiply"])
+def test_heavy_sample_overflow_is_an_error_not_a_warning(z, c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"C\*exp\(x_n\) overflows float64"):
+            renyi.heavy_sample(z, c)
+
+
+def test_descending_is_a_read_only_float_arange():
+    for n in (1, 2, 5000):
+        c = renyi._descending(n)
+        assert c.dtype == np.float64
+        assert np.array_equal(c, np.arange(n, 0, -1))
+        assert renyi._descending(n) is c
+        with pytest.raises(ValueError):
+            c[0] = 0.0
 
 
 def test_pareto_correspondence():
@@ -131,10 +156,17 @@ def test_scaled_log_spacings_read_only_and_computed_once():
 
 
 @pytest.mark.parametrize("w", [[1.0, 2.0, math.inf], [1.0, math.nan, 3.0], [math.nan, 2.0],
-                               [math.inf, math.inf]])
+                               [math.inf, math.inf], [1.0, math.inf, 3.0], [1.0, 2.0, math.nan]])
 def test_heavy_sample_rejects_non_finite(w):
     with pytest.raises(ValueError):
         renyi.HeavySample(scale_c=1.0, w=np.array(w))
+
+
+def test_heavy_sample_order_check():
+    w = np.array([1.0, 1.0, 2.0, 2.0, 2.0])  # equal neighbours are ordered
+    assert np.array_equal(renyi.HeavySample(scale_c=1.0, w=w).w, w)
+    with pytest.raises(ValueError, match="finite and nondecreasing"):
+        renyi.HeavySample(scale_c=1.0, w=np.array([1.0, 2.0, 3.0, 2.5, 4.0]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
