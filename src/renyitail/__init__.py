@@ -58,7 +58,6 @@ from .rand_models import (
     moment,
     parse_spec,
     quantile,
-    random_permutation,
     strict_pareto,
     uniform,
 )
@@ -68,7 +67,6 @@ from .renyi import (
     generalized_renyi,
     heavy_sample,
     moment_recursion,
-    permuted_view,
     psi_n,
 )
 

@@ -89,6 +89,8 @@ class ExperimentConfig:
         if not specs:
             raise ValueError("at least one distribution spec is required")
         object.__setattr__(self, "specs", specs)
+        # SeedSpec owns the seed rule; the config keeps its plain int for to_text()
+        object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
         if self.n < 1 or self.reps < 1 or self.avg_seeds < 1:
             raise ValueError("n, reps and avg_seeds must be positive")
         if not 0.0 < self.eps < 1.0:

@@ -15,6 +15,7 @@ indices never share state and results are independent of scheduling.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 import signal
@@ -41,7 +42,6 @@ __all__ = [
     "mgf",
     "cf",
     "support",
-    "random_permutation",
 ]
 
 SPACING_KINDS = ("exp", "unif", "bern", "gamma")
@@ -175,10 +175,14 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise ValueError("master_seed must fit in 64 unsigned bits")
-        if not 0 <= int(self.stream_index) < 2**64:
-            raise ValueError("stream_index must fit in 64 unsigned bits")
+        for name in ("master_seed", "stream_index"):
+            try:
+                value = operator.index(getattr(self, name))  # int() would truncate 7.5 to 7
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
+            if not 0 <= value < 2**64:
+                raise ValueError(f"{name} must fit in 64 unsigned bits")
+            object.__setattr__(self, name, value)
 
     def generator(self) -> Generator:
         return next(_streams(self.master_seed, (self.stream_index,)))
@@ -190,18 +194,21 @@ def _streams(master_seed: int, stream_indices):
     Philox is counter-based, so setting the full state (key, counter 0,
     empty 64- and 32-bit buffers) starts exactly the stream a fresh
     ``Philox(key=...)`` would, without paying for a new bit generator.
+    The state holds plain Python ints: the setter reads it element by
+    element, and indexing a numpy array there makes a numpy scalar each
+    time, which more than doubles the cost of a re-key.
     Each yielded value is the same object: it is valid until the next one.
     """
-    key = np.array([master_seed, 0], dtype=np.uint64)
+    key = [master_seed, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    bitgen = Philox(key=key)
+    bitgen = Philox(key=np.array(key, dtype=np.uint64))
     rng = Generator(bitgen)
     for index in stream_indices:
         key[1] = index
@@ -242,7 +249,7 @@ def replication_map(fn, reps: int, master_seed: int, tag: str,
     if reps < 1:
         raise ValueError("reps must be positive")
     base = _stream_base(tag)
-    SeedSpec(master_seed)  # rejects a seed outside 64 unsigned bits
+    master_seed = SeedSpec(master_seed).master_seed  # a plain int in 0..2**64-1
     first, last = base + start, base + start + reps - 1
     if first < 0 or last >= 2**64:
         raise ValueError(f"streams {first}..{last} of tag {tag!r} "
@@ -451,9 +458,3 @@ def support(spec: DistributionSpec) -> tuple[float, float]:
         return (spec.c, math.inf)
     return (1.5, math.inf)  # hall: Q at u -> 1
 
-
-def random_permutation(n: int, seed: SeedSpec) -> np.ndarray:
-    """Uniform random permutation of 1..n, deterministic given the seed."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return seed.generator().permutation(n) + 1

@@ -28,7 +28,6 @@ __all__ = [
     "HeavySample",
     "generalized_renyi",
     "heavy_sample",
-    "permuted_view",
     "psi_n",
     "moment_recursion",
     "cross_moment_recursion",
@@ -105,16 +104,6 @@ def heavy_sample(z, scale_c: float) -> HeavySample:
     if w[-1] == math.inf:  # w is nondecreasing, so an overflow reaches its end
         raise ValueError(f"C*exp(x_n) overflows float64: C = {scale_c:g}, x_n = {float(x[-1]):g}")
     return HeavySample(scale_c=scale_c, w=w)
-
-
-def permuted_view(x, perm) -> np.ndarray:
-    """Reorder x by a permutation of 1..n (1-based, as generated)."""
-    x = np.asarray(x)
-    perm = np.asarray(perm)
-    n = len(x)
-    if len(perm) != n or not np.array_equal(np.sort(perm), np.arange(1, n + 1)):
-        raise ValueError("perm must be a bijection on 1..n")
-    return x[perm - 1]
 
 
 def psi_n(spec: DistributionSpec, n: int, t: float) -> complex:

@@ -250,6 +250,47 @@ def test_replication_map_range_checked_before_any_replication():
         assert np.array_equal(got, expected)
 
 
+def test_replication_map_matches_fresh_philox_at_the_key_edges():
+    """The plain-int re-key reaches the top of both 64-bit key words."""
+    room = 2**64 - rm._stream_base("tag/top")
+    for seed, start in ((2**64 - 1, 0), (2**64 - 1, room - 6)):  # the latter ends at 2^64-1
+        base = rm._stream_base("tag/top") + start
+        fresh = np.asarray([
+            _mixed_draws(np.random.Generator(np.random.Philox(
+                key=np.array([seed, base + i], dtype=np.uint64))))
+            for i in range(6)])
+        for workers in (1, 2):
+            got = ex.replication_map(_mixed_draws, 6, seed, "tag/top", workers=workers,
+                                     start=start)
+            assert np.array_equal(got, fresh)
+
+
+@pytest.mark.parametrize("seed", [7.5, 7.0, -1, 2**64], ids=repr)
+def test_seed_must_be_an_integer_in_64_bits(seed):
+    calls = []
+    with pytest.raises(ValueError, match="master_seed must"):
+        ex.replication_map(calls.append, 3, seed, "tag/seed")
+    with pytest.raises(ValueError, match="master_seed must"):
+        ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), master_seed=seed)
+    with pytest.raises(ValueError, match="master_seed must"):
+        rm.SeedSpec(seed)
+    with pytest.raises(ValueError, match="stream_index must"):
+        rm.SeedSpec(7, seed)
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [np.uint64(7), np.int64(7), 7], ids=repr)
+def test_numpy_integer_seeds_act_as_ints(seed):
+    cfg = ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), master_seed=seed)
+    assert type(cfg.master_seed) is int
+    assert json.loads(cfg.to_text())["master_seed"] == 7
+    assert ex.ExperimentConfig.from_text(cfg.to_text()) == cfg
+    fn = lambda rng: rng.random(2)
+    assert np.array_equal(ex.replication_map(fn, 4, seed, "tag/np"),
+                          ex.replication_map(fn, 4, 7, "tag/np"))
+    assert rm.SeedSpec(seed, np.uint64(3)) == rm.SeedSpec(7, 3)
+
+
 def _pids(reps, workers):
     fn = lambda rng: os.getpid()
     return set(ex.replication_map(fn, reps, 7, "tag/pid", workers=workers).tolist())

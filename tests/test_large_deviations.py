@@ -303,12 +303,29 @@ def test_mc_tail_approaches_rate_function():
 @given(st.sampled_from(["exp:gamma=1", "unif:gamma=0.5", "bern:gamma=0.3",
                         "gamma:r=2.5,gamma=0.7"]), st.integers(0, 2**64 - 1))
 def test_mc_tail_sum_over_k_is_the_mean(law, stream):
-    """mc_tail_logprob tests float(z.sum()) / k >= y in place of z.mean() >= y:
-    numpy's mean is the same add.reduce divided by the count, so the bits agree."""
+    """mc_tail_logprob tests float(np.add.reduce(z)) / k >= y in place of
+    z.mean() >= y: numpy's mean is the same add.reduce divided by the count,
+    so the bits agree."""
     spec, rng = rm.parse_spec(law), rm.SeedSpec(13, stream).generator()
     for k in range(1, 401):
         z = rm.draw(spec, rng, k)
-        assert float(z.sum()) / k == z.mean()
+        assert float(np.add.reduce(z)) / k == z.mean()
+
+
+@pytest.mark.parametrize("law,y", [("exp:gamma=1", 1.2), ("bern:gamma=0.5", 0.6)])
+@pytest.mark.parametrize("k", [5, 10, 20])
+def test_mc_tail_events_match_mean_rule_on_fresh_streams(law, y, k):
+    """The hit count equals a plain count of draw(...).mean() >= y over fresh
+    streams.  k >= 8 is where numpy's pairwise sum unrolls, and bern puts
+    some means exactly on y = 0.6, so a rule that rounded differently from
+    .mean() would miscount."""
+    spec, seed, reps = rm.parse_spec(law), rm.SeedSpec(17, 3), 3000
+    base = rm._stream_base(f"mc_tail/{spec.canonical()}/k={k}/y={y!r}/s=3")
+    expected = sum(rm.draw(spec, rm.SeedSpec(17, base + i).generator(), k).mean() >= y
+                   for i in range(reps))
+    assert 0 < expected < reps
+    for workers in (1, 2):
+        assert ld.mc_tail_logprob(spec, k, y, reps, seed, workers=workers).events == expected
 
 
 def test_mc_tail_deterministic_across_workers():

@@ -171,31 +171,6 @@ def test_parameter_validation():
         rm.DistributionSpec("pareto", gamma=0.5)
 
 
-def test_permutation_single():
-    assert list(rm.random_permutation(1, SEED)) == [1]
-
-
-def test_permutation_is_bijection():
-    perm = rm.random_permutation(5, SEED)
-    assert sorted(perm) == [1, 2, 3, 4, 5]
-
-
-def test_permutation_zero_rejected():
-    with pytest.raises(ValueError):
-        rm.random_permutation(0, SEED)
-
-
-def test_permutation_uniformity():
-    reps = 6 * 10**5
-    counts = {}
-    for i in range(reps):
-        key = tuple(rm.random_permutation(3, rm.SeedSpec(99, i)))
-        counts[key] = counts.get(key, 0) + 1
-    assert len(counts) == 6
-    for c in counts.values():
-        assert abs(c / reps - 1.0 / 6.0) <= 0.005
-
-
 def _hall_cdf(x):
     """Numerical inverse of the Hall-class quantile (increasing in p)."""
     x = np.asarray(x, dtype=np.float64)

@@ -186,25 +186,6 @@ def test_monotone_for_nonnegative_spacings():
     assert np.all(h.w >= 0.7)
 
 
-def test_permuted_view():
-    x = renyi.generalized_renyi([1.0, 2.0, 3.0])
-    assert np.array_equal(renyi.permuted_view(x, [1, 2, 3]), x)
-    x2 = renyi.generalized_renyi([1.0, 2.0])
-    assert np.array_equal(renyi.permuted_view(x2, [2, 1]), x2[::-1])
-    perm = rm.random_permutation(3, rm.SeedSpec(5))
-    assert np.mean(renyi.permuted_view(x, perm)) == pytest.approx(np.mean(x), rel=1e-15)
-
-
-def test_permuted_view_rejects_non_bijection():
-    x = renyi.generalized_renyi([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        renyi.permuted_view(x, [1, 1, 3])
-    with pytest.raises(ValueError):
-        renyi.permuted_view(x, [0, 1, 2])
-
-
-# --- psi_n -----------------------------------------------------------------
-
 def test_psi_at_zero_is_one():
     for spec in (rm.exponential(0.5), rm.uniform(0.5), rm.bernoulli(0.5),
                  rm.gamma_law(2.0, 0.5)):
