@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rand_models import DistributionSpec, SeedSpec, draw, moment, replication_map
+from .rand_models import DistributionSpec, SeedSpec, _index, draw, moment, replication_map
 
 __all__ = [
     "rate_function",
@@ -225,6 +225,7 @@ def mc_tail_logprob(spec: DistributionSpec, k: int, y: float, reps: int,
     Declines to report a number when the expected event count
     reps * exp(-k * rate) falls below 100, or when no events occur.
     """
+    k, reps = _index(k, "k"), _index(reps, "reps")
     if k < 1 or reps < 1:
         raise ValueError("k and reps must be positive")
     rate = _tail_rate(spec, y)

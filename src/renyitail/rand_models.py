@@ -163,6 +163,14 @@ def parse_spec(text: str) -> DistributionSpec:
     return DistributionSpec(kind, **kwargs)
 
 
+def _index(value, name: str) -> int:
+    """value as an int, or ValueError if it is not one (int() would truncate 7.5 to 7)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Philox stream key: (master_seed, stream_index) -> generator state.
@@ -176,10 +184,7 @@ class SeedSpec:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_index"):
-            try:
-                value = operator.index(getattr(self, name))  # int() would truncate 7.5 to 7
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
+            value = _index(getattr(self, name), name)
             if not 0 <= value < 2**64:
                 raise ValueError(f"{name} must fit in 64 unsigned bits")
             object.__setattr__(self, name, value)
@@ -246,6 +251,7 @@ def replication_map(fn, reps: int, master_seed: int, tag: str,
     in a child is re-raised here.  The generator passed to fn is re-keyed
     for the next replication, so fn must not keep it.
     """
+    reps, workers, start = _index(reps, "reps"), _index(workers, "workers"), _index(start, "start")
     if reps < 1:
         raise ValueError("reps must be positive")
     base = _stream_base(tag)

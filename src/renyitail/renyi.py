@@ -7,10 +7,10 @@ z's exactly.  The weights c_l = n+1-l have one owner, ``_descending(n)``: a
 cached read-only float64 array n, n-1, ..., 1 that the construction, the
 spacings, psi_n, the experiments' inline constructions and the full-sample
 likelihoods all read, so a replication neither rebuilds it nor converts it
-from int.  The oracles at the bottom (psi_n, moment recursions) evaluate
-finite-n expectations of a randomly reordered coordinate X_{D,n} without
-any simulation: psi_n as one cumulative product (O(n) memory), the moment
-recursion as one telescoped cumulative sum per order (O(k_max^2 n) work).
+from int.  The oracles at the bottom evaluate finite-n expectations of reordered
+coordinates X_{D,n} without simulation: psi_n as one cumulative product, the
+moment recursion as one telescoped cumulative sum per order (O(k_max^2 n)
+work), the cross moments of two coordinates by their recursion's closed form.
 """
 
 from __future__ import annotations
@@ -154,31 +154,29 @@ def moment_recursion(spec: DistributionSpec, k_max: int, n: int) -> np.ndarray:
 
 
 def cross_moment_recursion(spec: DistributionSpec, n: int) -> np.ndarray:
-    """Exact cross moments C_nu = E(X_{D1,nu} X_{D2,nu}), nu = 2..n.
+    """Exact cross moments C_nu = E(X_{D1,nu} X_{D2,nu}), nu = 2..n, in closed form.
 
-    Anchored at C_2 = mu_2/4 + gamma^2/2 and advanced by
-
-        C_nu = mu_2/nu^2 + 2 (gamma/nu)(gamma - gamma/nu) + C_{nu-1} (nu-2)/nu,
-
-    whose solution is C_nu = gamma^2 + (sigma^2 - gamma^2)(nu - H_nu)/(nu(nu-1))
-    with H_nu the harmonic number.  The first two terms are computed in numpy,
-    a block of nu at a time, into the result; only the C_{nu-1} term runs on
-    Python floats, through a memoryview.  Entries 0 and 1 of the returned
-    array are NaN.
+    C_nu = gamma^2 + (sigma^2 - gamma^2)(nu - H_nu)/(nu(nu-1)), H_nu the harmonic
+    number, solves C_nu = mu_2/nu^2 + 2 (gamma/nu)(gamma - gamma/nu) + C_{nu-1} (nu-2)/nu
+    from C_2 = mu_2/4 + gamma^2/2; the package exports and the benchmark know it by
+    that recursion's name.  H_nu is a running sum of 1/nu over blocks of 4096 nu in
+    the result, so memory is the result plus one block.  Exp (sigma = gamma) gives
+    exactly gamma^2.  Entries 0 and 1 are NaN.
     """
     n = operator.index(n)
     if n < 2:
         raise ValueError("n must be at least 2")
-    g = moment(spec, 1)
-    mu2 = moment(spec, 2)
+    g, mu2 = moment(spec, 1), moment(spec, 2)
     if math.isinf(mu2):
         raise ValueError(f"second moment must be finite for {spec}")
+    d = mu2 - 2.0 * g * g  # sigma^2 - gamma^2
     c = np.full(n + 1, np.nan)
-    for lo in range(3, n + 1, 4096):  # blocks keep the temporaries small
+    h = 1.0  # H_1
+    for lo in range(2, n + 1, 4096):
         nu = np.arange(lo, min(lo + 4096, n + 1), dtype=np.float64)
-        c[lo:lo + len(nu)] = mu2 / nu**2 + 2.0 * (g / nu) * (g - g / nu)
-    out = memoryview(c)
-    prev = out[2] = mu2 / 4.0 + g * g / 2.0
-    for i in range(3, n + 1):
-        prev = out[i] = out[i] + prev * (i - 2) / i
+        block = c[lo:lo + len(nu)]
+        np.divide(1.0, nu, out=block)
+        block[0] += h  # H_{lo-1}, carried from the last block
+        h = np.cumsum(block, out=block)[-1]
+        block[:] = g * g + d * (nu - block) / (nu * (nu - 1.0))
     return c

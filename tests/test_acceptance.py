@@ -73,7 +73,7 @@ def test_criterion_4_pareto_equivalence():
         hill_iid[i] = est.hill(renyi.HeavySample(1.0, w), n)
     d = stats.ks_2samp(hill_model, hill_iid).statistic
     # asymptotic two-sample critical value c(alpha) sqrt((n1 + n2)/(n1 n2))
-    crit = ex._ks_critical(0.01, 1) * math.sqrt((seeds + seeds) / (seeds * seeds))
+    crit = stats.kstwobign.isf(0.01) * math.sqrt((seeds + seeds) / (seeds * seeds))
     _report(4, "strict-Pareto equivalence of the construction", d < crit,
             f"two-sample KS over {seeds} seeds: D={d:.4f} < {crit:.4f}")
 

@@ -279,6 +279,16 @@ def test_seed_must_be_an_integer_in_64_bits(seed):
     assert calls == []
 
 
+@pytest.mark.parametrize("name, value", [("reps", 5.0), ("reps", 0.5), ("start", 0.5),
+                                         ("start", 2.0), ("workers", 1.5), ("workers", 2.0)])
+def test_replication_map_counts_must_be_integers(name, value):
+    calls = []
+    kwargs = {"reps": 5, "master_seed": 7, "tag": "tag/count", name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ex.replication_map(calls.append, **kwargs)
+    assert calls == []
+
+
 @pytest.mark.parametrize("seed", [np.uint64(7), np.int64(7), 7], ids=repr)
 def test_numpy_integer_seeds_act_as_ints(seed):
     cfg = ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), master_seed=seed)

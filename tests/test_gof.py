@@ -4,21 +4,33 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from renyitail.experiments import _ks_critical
+from renyitail import experiments as ex
+
+
+def _ks_critical(n):
+    """The t1 table's ks_critical: the 1% quantile of the limiting KS law over sqrt(n)."""
+    return stats.kstwobign.isf(0.01) / math.sqrt(n)
 
 
 def test_critical_value_one_percent():
-    # c(0.01) = sqrt(-log(0.005)/2) ~ 1.628, the 1.63/sqrt(n) rule
-    assert _ks_critical(0.01, 1) == pytest.approx(1.6276, abs=1e-4)
-    assert _ks_critical(0.01, 10**5) == pytest.approx(1.6276 / math.sqrt(10**5), rel=1e-4)
+    # c(0.01) = 1.6276236115; the one-term 2 exp(-2c^2) series gave 1.6276236307
+    assert _ks_critical(1) == pytest.approx(1.6276, abs=1e-4)
+    assert _ks_critical(10**5) == pytest.approx(1.6276 / math.sqrt(10**5), rel=1e-4)
+
+
+def test_t1_table_reads_the_critical_value():
+    cfg = ex.ExperimentConfig(experiment="exp_limit", specs=("exp:gamma=0.5",), reps=50,
+                              master_seed=3, n_grid=(5, 10))
+    assert ex.run_exponential_limit(cfg).column("ks_critical") == [_ks_critical(50)] * 2
 
 
 def test_critical_value_tracks_rejection_rate():
     # under the null the 1% critical value rejects about 1% of the time
     rng = np.random.default_rng(3)
     n, trials = 2000, 1000
-    crit = _ks_critical(0.01, n)
+    crit = _ks_critical(n)
     rejections = 0
     for _ in range(trials):
         u = np.sort(rng.random(n))

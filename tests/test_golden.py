@@ -23,8 +23,10 @@ GOLDEN = {
         "48edc1d28e7ba5989cfdc66d23cabbd3774a1976ed7e695604b6e4dd62cdcc3b",
     ("figure", "--id", "3"):
         "27a7939359eed3c796934a8a3df6ce0da12cc37b3a3dcbececb240badca49317",
+    # moved from 5e1c626b11d671837475df988a753e39fdd59522df8b57524f8a480932efabcd by the
+    # closed-form m11_exact cells and scipy's kstwobign ks_critical
     ("figure", "--id", "t1", "--reps", "2000"):
-        "5e1c626b11d671837475df988a753e39fdd59522df8b57524f8a480932efabcd",
+        "a31722b2c757aa44f4e5b25db3e84f3dc2da0928972b27963b2a5aa103e2881c",
     ("figure", "--id", "ld", "--reps", "20000"):
         "33e3050152b999fdb470e4b18993edcf10f82cee22874942842c7dcae391569a",
     ("simulate", "--spec", "exp:gamma=0.5", "--n", "1000", "--seed", "11"):

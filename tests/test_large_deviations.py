@@ -278,6 +278,12 @@ def test_mc_tail_rejects_nan():
         ld.mc_tail_logprob(rm.exponential(1.0), 10, math.nan, 2000, rm.SeedSpec(3))
 
 
+@pytest.mark.parametrize("k, reps", [(5.5, 2000), (5.0, 2000), (10, 1.5), (10, 2000.0)])
+def test_mc_tail_counts_must_be_integers(k, reps):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ld.mc_tail_logprob(rm.uniform(0.5), k, 0.6, reps, rm.SeedSpec(3))
+
+
 def test_mc_tail_uniform_against_exact_enumeration():
     # mean of 20 uniforms above 0.6 <=> their sum of 20 above 12
     k, y, reps = 20, 0.6, 10**5

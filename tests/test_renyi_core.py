@@ -1,6 +1,7 @@
 """Construction round trips and the exact finite-n oracles."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -395,16 +396,6 @@ def _moment_loop(spec, k_max, n):
     return m
 
 
-def _cross_loop(spec, n):
-    """C_nu by the scalar recursion, read back from the array at each step."""
-    g, mu2 = rm.moment(spec, 1), rm.moment(spec, 2)
-    c = np.full(n + 1, np.nan)
-    c[2] = mu2 / 4.0 + g * g / 2.0
-    for nu in range(3, n + 1):
-        c[nu] = mu2 / nu**2 + 2.0 * (g / nu) * (g - g / nu) + c[nu - 1] * (nu - 2) / nu
-    return c
-
-
 def test_moment_recursion_matches_loop():
     ref = {spec: _moment_loop(spec, 6, 8000) for spec in _ORACLE_LAWS}
     for spec in _ORACLE_LAWS:
@@ -417,13 +408,51 @@ def test_moment_recursion_matches_loop():
                 assert np.allclose(m[:, 1:], want[:, 1:], rtol=1e-12, atol=0.0)
 
 
-def test_cross_moment_recursion_bit_identical_to_loop():
-    # the t1 table's m11_exact column is read from these bits
-    for spec in _ORACLE_LAWS:
-        ref = _cross_loop(spec, 80000)
-        for n in (2, 3, 10, 2000, 80000):
-            assert np.array_equal(renyi.cross_moment_recursion(spec, n), ref[:n + 1],
-                                  equal_nan=True)
+def _mp_moments(spec):
+    """gamma and mu_2 of the law at the working mpmath precision."""
+    g = mpmath.mpf(spec.gamma)
+    mu2 = {"exp": lambda: 2 * g**2, "unif": lambda: (2 * g) ** 2 / 3, "bern": lambda: g,
+           "gamma": lambda: g**2 * (1 + 1 / mpmath.mpf(spec.r))}[spec.kind]()
+    return g, mu2
+
+
+def _cross_exact(spec, nu):
+    """C_nu in closed form at the working mpmath precision."""
+    g, mu2 = _mp_moments(spec)
+    return g**2 + (mu2 - 2 * g**2) * (nu - mpmath.harmonic(nu)) / (nu * (nu - 1))
+
+
+def test_cross_moment_recursion_against_mpmath():
+    # the t1 table's m11_exact column; 4096 is the block length of the running harmonic sum
+    with mpmath.workdps(40):
+        for spec in _ORACLE_LAWS + (rm.bernoulli(1.0),):
+            g, mu2 = _mp_moments(spec)
+            prev = mu2 / 4 + g**2 / 2  # the recursion at 40 digits, as a check on the reference
+            for nu in range(3, 51):
+                prev = mu2 / nu**2 + 2 * (g / nu) * (g - g / nu) + prev * (nu - 2) / nu
+            assert abs(prev / _cross_exact(spec, 50) - 1) <= mpmath.mpf(10) ** -35
+            c = renyi.cross_moment_recursion(spec, 100000)
+            for nu in (2, 3, 4, 4096, 4097, 4098, 80000, 100000):
+                want = _cross_exact(spec, nu)
+                assert abs((mpmath.mpf(float(c[nu])) - want) / want) <= 4e-16, (spec, nu)
+
+
+def test_cross_moment_exponential_is_exactly_gamma_squared():
+    # sigma = gamma, so the harmonic term vanishes and no roundoff remains
+    for g in (0.7, 0.5, 3.0):
+        c = renyi.cross_moment_recursion(rm.exponential(g), 10000)
+        assert np.all(c[2:] == g * g)
+
+
+def test_cross_moment_recursion_memory_is_the_result_plus_one_block():
+    spec = rm.uniform(0.5)
+    tracemalloc.start()
+    try:
+        c = renyi.cross_moment_recursion(spec, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < c.nbytes + 2**20
 
 
 def test_cross_moment_closed_form():
