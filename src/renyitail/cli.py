@@ -168,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=_finite_float, default=None,
                    help="tail threshold for --id ld (default 1.5)")
     p.add_argument("--seed", type=_seed_int, default=DEFAULT_SEED)
-    p.add_argument("--avg-seeds", type=_positive_int, default=None,
-                   help="average the hill plot (--id 2) over this many seeds")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="parallel replication spans, capped at the usable CPUs")
     p.add_argument("--paper-scale", action="store_true",
@@ -188,14 +186,13 @@ _IGNORED_FLAGS = {
     ("fit", "uniform"): ("r",),
     ("rate", "iid"): ("r",),
     ("rate", None): ("r", "c"),
-    # t1 reads its own n grid and --id 2 runs avg_seeds replications; --n with
-    # ld is ignored too, but the benchmark workload mc_tiny_reps passes it, so
-    # it stays accepted for now
-    ("figure", "1"): ("eps", "y", "avg_seeds"),
-    ("figure", "2"): ("reps", "eps", "y"),
-    ("figure", "3"): ("y", "avg_seeds"),
-    ("figure", "t1"): ("n", "eps", "y", "avg_seeds"),
-    ("figure", "ld"): ("eps", "avg_seeds"),
+    # t1 reads its own n grid; --n with ld is ignored too, but the benchmark
+    # workload mc_tiny_reps passes it, so it stays accepted for now
+    ("figure", "1"): ("eps", "y"),
+    ("figure", "2"): ("eps", "y"),
+    ("figure", "3"): ("y",),
+    ("figure", "t1"): ("n", "eps", "y"),
+    ("figure", "ld"): ("eps",),
 }
 _FLAG_DEFAULTS = {"estimate": {"s": 0.797, "interval": "spacing", "eps": 0.1},
                   "rate": {"r": 1.0}}
@@ -209,7 +206,7 @@ def _resolve_flags(args, parser) -> None:
     for name in _IGNORED_FLAGS.get((args.command, choice), ()):
         if getattr(args, name) is not None:
             what = f"with --{key} {choice}" if choice else f"without --{key}"
-            parser.error(f"--{name.replace('_', '-')} has no effect {what}")
+            parser.error(f"--{name} has no effect {what}")
     if args.command == "estimate" and args.interval == "none" and args.eps is not None:
         parser.error("--eps has no effect with --interval none")
     if args.command == "fit" and args.family == "gamma" and args.r is None:
@@ -417,7 +414,7 @@ def _cmd_rate(args, argv, parser) -> int:
 def _cmd_figure(args, argv) -> int:
     experiment, default_specs, desk, paper = _FIGURES[args.id]
     settings = dict(paper if args.paper_scale else desk)
-    settings.update((name, getattr(args, name)) for name in ("n", "reps", "eps", "y", "avg_seeds")
+    settings.update((name, getattr(args, name)) for name in ("n", "reps", "eps", "y")
                     if getattr(args, name) is not None)
     cfg = ExperimentConfig(experiment=experiment, specs=tuple(args.spec or default_specs),
                            master_seed=_effective_seed(args), **settings)

@@ -23,6 +23,7 @@ from .large_deviations import _tail_rate, exact_hill_tail, mc_tail_logprob
 from .rand_models import (
     DistributionSpec,
     SeedSpec,
+    _index,
     draw,
     parse_spec,
     replication_map,
@@ -75,12 +76,10 @@ class ExperimentConfig:
     reps: int = 2000
     eps: float = 0.1
     master_seed: int = DEFAULT_SEED
-    scale_c: float = 1.0
     s_grid: tuple[float, ...] | None = None
     k_grid: tuple[int, ...] | None = None
     n_grid: tuple[int, ...] | None = None
     y: float | None = None
-    avg_seeds: int = 1
 
     def __post_init__(self):
         if self.experiment not in _RUNNERS:
@@ -91,12 +90,13 @@ class ExperimentConfig:
         object.__setattr__(self, "specs", specs)
         # SeedSpec owns the seed rule; the config keeps its plain int for to_text()
         object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
-        if self.n < 1 or self.reps < 1 or self.avg_seeds < 1:
-            raise ValueError("n, reps and avg_seeds must be positive")
+        for name in ("n", "reps"):
+            value = _index(getattr(self, name), name)
+            if value < 1:
+                raise ValueError(f"{name} must be positive")
+            object.__setattr__(self, name, value)
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if not self.scale_c > 0:
-            raise ValueError("scale C must be positive")
         if self.y is not None and not math.isfinite(self.y):
             raise ValueError("threshold y must be finite")
         if self.s_grid is not None:
@@ -105,15 +105,12 @@ class ExperimentConfig:
                 raise ValueError("s grid must lie in (0, 1)")
             object.__setattr__(self, "s_grid", sg)
         if self.k_grid is not None:
-            kg = tuple(int(k) for k in self.k_grid)
+            kg = tuple(_index(k, "k grid entry") for k in self.k_grid)
             if any(k < 1 for k in kg):
                 raise ValueError("k grid entries must be positive")
-            # only the coverage experiment reads k order statistics out of an n-sample
-            if self.experiment == "coverage" and any(k > self.n for k in kg):
-                raise ValueError("k grid must lie in 1..n")
             object.__setattr__(self, "k_grid", kg)
         if self.n_grid is not None:
-            ng = tuple(int(m) for m in self.n_grid)
+            ng = tuple(_index(m, "n grid entry") for m in self.n_grid)
             if any(m < 2 for m in ng):
                 raise ValueError("n grid entries must be at least 2")
             object.__setattr__(self, "n_grid", ng)
@@ -125,7 +122,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))  # __post_init__ turns the lists back into tuples
+        payload = json.loads(text)
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**payload)  # __post_init__ turns the lists back into tuples
 
 
 @dataclass
@@ -188,10 +189,11 @@ def _meta(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _heavy_for(spec: DistributionSpec, rng, n: int, scale_c: float) -> HeavySample:
-    """Model sample for spacing laws; sorted iid draws for comparison laws."""
+def _heavy_for(spec: DistributionSpec, rng, n: int) -> HeavySample:
+    """Model sample with C = 1 for spacing laws (the log-spacings do not depend
+    on C); sorted iid draws above their support floor for comparison laws."""
     if spec.is_spacing_law:
-        return heavy_sample(draw(spec, rng, n), scale_c)
+        return heavy_sample(draw(spec, rng, n), 1.0)
     w = np.sort(draw(spec, rng, n))
     return HeavySample(scale_c=support(spec)[0], w=w)
 
@@ -249,15 +251,15 @@ def run_hill_plot(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     """Hill trajectory gamma_hat(k), k = 1..n, one column per law.
 
     Spacing laws go through the model construction; Pareto-type laws are
-    sampled iid and sorted.  With avg_seeds > 1 the trajectory is averaged
-    over that many independent realizations.
+    sampled iid and sorted.  Each trajectory is averaged over reps
+    independent realizations.
     """
     n = cfg.n
 
     def one_rep(spec, rng):
-        return estimators.hill_trajectory(_heavy_for(spec, rng, n, cfg.scale_c))
+        return estimators.hill_trajectory(_heavy_for(spec, rng, n))
 
-    trajs = [np.mean(vals, axis=0) for _, vals in _per_law(cfg, one_rep, cfg.avg_seeds, workers)]
+    trajs = [np.mean(vals, axis=0) for _, vals in _per_law(cfg, one_rep, cfg.reps, workers)]
     columns = ["k"] + [s.canonical() for s in cfg.specs]
     return ReportTable(columns, _rows(range(1, n + 1), trajs), _meta(cfg))
 
@@ -276,7 +278,7 @@ def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     unit = estimators.half_width(1.0, ks, cfg.eps)  # before the fork: loads scipy.special once
 
     def one_rep(spec, rng):
-        zhat = _heavy_for(spec, rng, n, cfg.scale_c).zhat
+        zhat = _heavy_for(spec, rng, n).zhat
         gh = estimators._hill(zhat, idx, ksf, kmax)
         sig = estimators._spacing_sigma(zhat, idx, ksf, kmax)
         dev = np.abs(gh - spec.gamma)

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rand_models import DistributionSpec, cf, moment
+from .rand_models import DistributionSpec, _index, cf, moment
 
 __all__ = [
     "HeavySample",
@@ -113,7 +112,7 @@ def psi_n(spec: DistributionSpec, n: int, t: float) -> complex:
     cumulative product of the n factors, multiplied in order of j.  It
     holds all n factors at once: O(n) memory, 16 bytes per factor.
     """
-    n = operator.index(n)
+    n = _index(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
     if not math.isfinite(t):
@@ -136,7 +135,7 @@ def moment_recursion(spec: DistributionSpec, k_max: int, n: int) -> np.ndarray:
     terms for the spacing laws) over rows j < k: O(k_max^2 n) numpy work.
     Row 0 is the trivial moment 1; column 0 is unused (NaN).
     """
-    k_max, n = operator.index(k_max), operator.index(n)
+    k_max, n = _index(k_max, "k_max"), _index(n, "n")
     if k_max < 1 or n < 1:
         raise ValueError("k_max and n must be at least 1")
     mu = [1.0] + [moment(spec, k) for k in range(1, k_max + 1)]
@@ -163,7 +162,7 @@ def cross_moment_recursion(spec: DistributionSpec, n: int) -> np.ndarray:
     the result, so memory is the result plus one block.  Exp (sigma = gamma) gives
     exactly gamma^2.  Entries 0 and 1 are NaN.
     """
-    n = operator.index(n)
+    n = _index(n, "n")
     if n < 2:
         raise ValueError("n must be at least 2")
     g, mu2 = moment(spec, 1), moment(spec, 2)

@@ -151,7 +151,7 @@ def test_criterion_9_determinism_across_workers():
                             reps=60, master_seed=909, s_grid=(0.3, 0.797, 0.95)),
         ex.ExperimentConfig(experiment="hill_plot",
                             specs=("pareto:gamma=0.5,c=1", "hall", "exp:gamma=0.5"),
-                            n=300, reps=1, master_seed=909, avg_seeds=12),
+                            n=300, reps=12, master_seed=909),
         ex.ExperimentConfig(experiment="coverage", specs=THREE_LAWS, n=200, reps=60,
                             master_seed=909, k_grid=(20, 200)),
         ex.ExperimentConfig(experiment="exp_limit", specs=("unif:gamma=0.5",),

@@ -7,13 +7,14 @@ import math
 import os
 import re
 import select
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import renyitail
-from renyitail.cli import _BLOCK_ROWS, _write_numeric_rows, main
+from renyitail.cli import _BLOCK_ROWS, _resolve_flags, _write_numeric_rows, build_parser, main
 from renyitail.rand_models import SeedSpec, draw, parse_spec
 from renyitail.renyi import heavy_sample
 
@@ -494,10 +495,10 @@ IGNORED_FLAGS = [
      "--c has no effect without --family"),
     *[(("figure", "--id", fig, "--y", "2"), f"--y has no effect with --id {fig}")
       for fig in ("1", "2", "3", "t1")],
-    *[(("figure", "--id", fig, "--avg-seeds", "2"), f"--avg-seeds has no effect with --id {fig}")
-      for fig in ("1", "3", "t1", "ld")],
+    # figure 2 averages --reps realizations, and no figure has --avg-seeds
+    *[(("figure", "--id", fig, "--avg-seeds", "2"), "unrecognized arguments: --avg-seeds 2")
+      for fig in ("1", "2", "3", "t1", "ld")],
     (("figure", "--id", "t1", "--n", "50"), "--n has no effect with --id t1"),
-    (("figure", "--id", "2", "--reps", "50"), "--reps has no effect with --id 2"),
     *[(("figure", "--id", fig, "--eps", "0.2"), f"--eps has no effect with --id {fig}")
       for fig in ("1", "2", "t1", "ld")],
 ]
@@ -531,19 +532,31 @@ def _config(out):
 
 
 def test_figure_reads_its_flags(capsys):
-    code, out, _ = _run(capsys, "figure", "--id", "2", "--n", "50", "--avg-seeds", "2")
+    code, out, _ = _run(capsys, "figure", "--id", "2", "--n", "50", "--reps", "2")
     assert code == 0
     config = _config(out)
-    assert config["avg_seeds"] == 2 and config["y"] is None
+    assert config["reps"] == 2 and config["y"] is None
     # ld ignores --n but accepts it (the benchmark passes it)
     code, out, _ = _run(capsys, "figure", "--id", "ld", "--n", "50", "--reps", "50", "--y", "2")
     assert code == 0
     config = _config(out)
-    assert config["y"] == 2.0 and config["avg_seeds"] == 1 and config["eps"] == 0.1
+    assert config["y"] == 2.0 and config["eps"] == 0.1
     code, out, _ = _run(capsys, "figure", "--id", "3", "--n", "50", "--reps", "20",
                         "--eps", "0.2")
     assert code == 0
     assert _config(out)["eps"] == 0.2
+
+
+def test_readme_cli_examples_parse():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        block = f.read().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("renyitail ")]
+    assert any(line.startswith("renyitail figure --id 2 ") for line in lines)
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        _resolve_flags(args, parser)
 
 
 def test_figure_t1_paper_scale_names_the_n_it_runs(capsys):

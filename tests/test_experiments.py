@@ -52,6 +52,33 @@ def test_config_validation():
             ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), y=y)
 
 
+def test_config_integer_settings():
+    # int() would truncate these silently, and a numpy int would reach to_text()'s json
+    for bad in ({"n": 2.5}, {"reps": 10.0}, {"k_grid": (7.5, 20)}, {"n_grid": (50.7,)}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ex.ExperimentConfig(experiment="coverage", specs=THREE_LAWS, **bad)
+    cfg = ex.ExperimentConfig(experiment="coverage", specs=THREE_LAWS, n=np.int64(100),
+                              reps=np.int32(10), k_grid=(np.int64(20),))
+    assert type(cfg.n) is type(cfg.reps) is type(cfg.k_grid[0]) is int
+    assert ex.ExperimentConfig.from_text(cfg.to_text()) == cfg
+
+
+def test_coverage_k_range_checked_by_the_run():
+    # the config does not know the k range; run_coverage checks it against n
+    cfg = ex.ExperimentConfig(experiment="coverage", specs=THREE_LAWS, n=100, reps=10,
+                              k_grid=(20, 101))
+    with pytest.raises(ValueError, match="k must lie in"):
+        ex.run_coverage(cfg)
+
+
+def test_config_from_text_rejects_unknown_keys():
+    text = ex.ExperimentConfig(experiment="coverage", specs=THREE_LAWS).to_text()
+    payload = json.loads(text)
+    payload.update(bogus=1, avg_seeds=1)
+    with pytest.raises(ValueError, match="unknown config keys: avg_seeds, bogus"):
+        ex.ExperimentConfig.from_text(json.dumps(payload))
+
+
 def test_variance_curve_rejects_iid_laws():
     cfg = ex.ExperimentConfig(experiment="variance_curve",
                               specs=("pareto:gamma=0.5,c=1",), n=100, reps=10)
@@ -388,8 +415,8 @@ def test_variance_curve_ratio_over_grid():
 
 def test_hill_plot_full_k_unbiased():
     cfg = ex.ExperimentConfig(
-        experiment="hill_plot", specs=THREE_LAWS, n=2000, reps=1,
-        master_seed=21, avg_seeds=100)
+        experiment="hill_plot", specs=THREE_LAWS, n=2000, reps=100,
+        master_seed=21)
     table = ex.run_hill_plot(cfg)
     assert len(table.rows) == 2000
     last = table.rows[-1]
@@ -400,8 +427,8 @@ def test_hill_plot_full_k_unbiased():
 
 def test_hill_plot_hall_bias_grows_with_k():
     cfg = ex.ExperimentConfig(
-        experiment="hill_plot", specs=("hall",), n=5000, reps=1,
-        master_seed=22, avg_seeds=100)
+        experiment="hill_plot", specs=("hall",), n=5000, reps=100,
+        master_seed=22)
     table = ex.run_hill_plot(cfg)
     col = table.column("hall")
     assert abs(col[2500 - 1] - 0.5) > abs(col[50 - 1] - 0.5)
@@ -447,13 +474,13 @@ def test_coverage_kernels_match_public_estimators(workers):
     # and the kernels the same values bit for bit
     n, k_grid = 60, (2, 7, 30, 60)
     cfg = ex.ExperimentConfig(experiment="coverage", specs=("unif:gamma=0.5", "pareto:gamma=0.5,c=1"),
-                              n=n, reps=30, master_seed=41, scale_c=2.5, k_grid=k_grid)
+                              n=n, reps=30, master_seed=41, k_grid=k_grid)
     table = ex.run_coverage(cfg, workers=workers)
     ks = np.array(k_grid)
     unit = est.half_width(1.0, ks, cfg.eps)
 
     def reference(spec, rng):
-        h = ex._heavy_for(spec, rng, n, cfg.scale_c)
+        h = ex._heavy_for(spec, rng, n)
         gh, sig = est.hill(h, ks), est.spacing_sigma(h, ks)
         kernel_args = (ks - 1, ks.astype(np.float64), n)
         assert np.array_equal(est._hill(h.zhat, *kernel_args), gh)
@@ -534,7 +561,7 @@ _SMALL_CONFIGS = [
     ex.ExperimentConfig(experiment="variance_curve", specs=THREE_LAWS, n=100,
                         reps=40, master_seed=31, s_grid=(0.3, 0.797)),
     ex.ExperimentConfig(experiment="hill_plot", specs=("pareto:gamma=0.5,c=1",
-                        "unif:gamma=0.5"), n=100, reps=1, master_seed=31, avg_seeds=8),
+                        "unif:gamma=0.5"), n=100, reps=8, master_seed=31),
     ex.ExperimentConfig(experiment="coverage", specs=THREE_LAWS, n=100, reps=40,
                         master_seed=31, k_grid=(20, 100)),
     ex.ExperimentConfig(experiment="exp_limit", specs=("unif:gamma=0.5",),

@@ -261,7 +261,7 @@ def test_psi_rejects_bad_arguments():
         with pytest.raises(ValueError, match="finite"):
             renyi.psi_n(spec, 10, t)
     for n in (2.5, 10.0, "10"):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="n must be an integer"):
             renyi.psi_n(spec, n, 1.0)
     with pytest.raises(ValueError):
         renyi.psi_n(spec, 0, 1.0)
@@ -482,11 +482,14 @@ def test_oracles_at_benchmark_sizes():
 
 def test_oracles_reject_non_integer_sizes():
     spec = rm.uniform(0.5)
-    with pytest.raises(TypeError):
+    # ValueError, which the CLI reports as a data error, not an uncaught TypeError
+    with pytest.raises(ValueError, match="n must be an integer"):
+        renyi.psi_n(spec, 2.5, 0.1)
+    with pytest.raises(ValueError, match="n must be an integer"):
         renyi.moment_recursion(spec, 2, 10.0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="k_max must be an integer"):
         renyi.moment_recursion(spec, 2.5, 10)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="n must be an integer"):
         renyi.cross_moment_recursion(spec, 2.5)
     with pytest.raises(ValueError):
         renyi.moment_recursion(spec, 0, 10)
