@@ -161,14 +161,15 @@ class ReportTable:
 
     @staticmethod
     def _json_cell(value):
-        if isinstance(value, float) and math.isnan(value):
-            return None
+        """NaN as null and +-inf as the CSV's "inf"/"-inf": JSON has no such numbers."""
+        if isinstance(value, float) and not math.isfinite(value):
+            return None if math.isnan(value) else repr(value)
         return value
 
     def to_json(self) -> str:
         rows = [{k: self._json_cell(v) for k, v in zip(self.columns, row)}
                 for row in self.rows]
-        return json.dumps({"meta": self.meta, "rows": rows}, sort_keys=True)
+        return json.dumps({"meta": self.meta, "rows": rows}, sort_keys=True, allow_nan=False)
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)

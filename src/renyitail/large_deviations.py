@@ -232,14 +232,17 @@ def mc_tail_logprob(spec: DistributionSpec, k: int, y: float, reps: int,
     if math.isinf(rate) or reps * math.exp(-k * rate) < 100.0:
         return MCTailResult(None, None, 0, reps, True)
 
-    def one_rep(rng) -> float:
-        # the same bits as .mean(), which is this add.reduce divided by the count;
-        # calling the ufunc directly skips the Python wrapper behind .sum() and .mean()
-        return 1.0 if float(np.add.reduce(draw(spec, rng, k))) / k >= y else 0.0
+    def one_rep(rng) -> np.ndarray:
+        return draw(spec, rng, k)
+
+    def hits(block: np.ndarray) -> np.ndarray:
+        # each row reduces as the row alone would, and .mean() is that add.reduce
+        # divided by the count, so these are the bits of draw(...).mean() >= y
+        return np.add.reduce(block, axis=1) / k >= y
 
     tag = f"mc_tail/{spec.canonical()}/k={k}/y={y!r}/s={seed.stream_index}"
-    hits = replication_map(one_rep, reps, seed.master_seed, tag, workers=workers)
-    events = int(np.sum(hits))
+    events = int(np.count_nonzero(replication_map(one_rep, reps, seed.master_seed, tag,
+                                                  workers=workers, fold=hits)))
     if events == 0:
         return MCTailResult(None, None, 0, reps, True)
     p_hat = events / reps

@@ -21,6 +21,7 @@ import pickle
 import signal
 import zlib
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -233,8 +234,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+_BLOCK = 1 << 10  # replications stacked at a time, and so at most one fold call's rows
+
+
 def replication_map(fn, reps: int, master_seed: int, tag: str,
-                    workers: int = 1, start: int = 0) -> np.ndarray:
+                    workers: int = 1, start: int = 0, fold=None) -> np.ndarray:
     """Evaluate fn(rng) on per-replication streams start..start+reps-1.
 
     Replication i draws from the stream ``SeedSpec(master_seed,
@@ -243,13 +247,22 @@ def replication_map(fn, reps: int, master_seed: int, tag: str,
     splitting a range across runs and concatenating reproduces the single
     run exactly.
 
+    Each span runs its replications in blocks of at most ``_BLOCK`` (2^10)
+    and stacks each block's results.  With a ``fold``, a span keeps
+    ``fold(block)`` in place of the block: one vectorized call per block
+    instead of per-replication Python work, with memory bounded by a block
+    rather than the span.  ``fold`` must return one entry per row (else
+    ValueError) and treat each row alone, so the result equals
+    ``fold(replication_map(fn, ...))`` bit for bit, for any worker count
+    and any split of the range.
+
     The range is cut into as many contiguous spans as the smallest of
     ``workers``, ``reps`` and the CPUs this process may use.  Where
     ``os.fork`` exists, every span after the first runs in a forked child,
-    which inherits fn (closures included) and pipes back its stacked
-    results; elsewhere the spans run serially.  An exception raised by fn
-    in a child is re-raised here.  The generator passed to fn is re-keyed
-    for the next replication, so fn must not keep it.
+    which inherits fn and fold (closures included) and pipes back its
+    stacked results; elsewhere the spans run serially.  An exception raised
+    by fn or fold in a child is re-raised here.  The generator passed to fn
+    is re-keyed for the next replication, so fn must not keep it.
     """
     reps, workers, start = _index(reps, "reps"), _index(workers, "workers"), _index(start, "start")
     if reps < 1:
@@ -262,7 +275,12 @@ def replication_map(fn, reps: int, master_seed: int, tag: str,
                          "do not fit in 64 unsigned bits")
 
     def run_span(lo: int, hi: int) -> np.ndarray:
-        return np.asarray([fn(rng) for rng in _streams(master_seed, range(base + lo, base + hi))])
+        rngs = _streams(master_seed, range(base + lo, base + hi))
+        parts = []
+        for _ in range(lo, hi, _BLOCK):  # the last block takes what is left
+            block = np.asarray([fn(rng) for rng in islice(rngs, _BLOCK)])
+            parts.append(block if fold is None else _folded(fold, block))
+        return np.concatenate(parts)
 
     spans = min(workers, reps, _usable_cpus()) if hasattr(os, "fork") else 1
     if spans <= 1:
@@ -282,6 +300,14 @@ def replication_map(fn, reps: int, master_seed: int, tag: str,
             os.close(rfd)
             os.waitpid(pid, 0)
     return np.concatenate(parts)
+
+
+def _folded(fold, block: np.ndarray) -> np.ndarray:
+    """fold(block) as an array with one entry per row of block."""
+    out = np.asarray(fold(block))
+    if out.shape[:1] != block.shape[:1]:
+        raise ValueError(f"fold returned shape {out.shape} for a block of {len(block)} rows")
+    return out
 
 
 def _fork_span(run_span, lo: int, hi: int) -> tuple[int, int]:

@@ -342,6 +342,25 @@ def test_figure_json_format(capsys):
     assert payload["rows"][0]["limit"] is not None
 
 
+def _reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+@pytest.mark.parametrize("argv, column, value", [
+    (("rate", "--spec", "bern:gamma=1", "--z", "0.5"), "rate", "inf"),
+    (("figure", "--id", "ld", "--spec", "unif:gamma=0.5", "--y", "1.2", "--reps", "200"),
+     "limit", "-inf"),
+])
+def test_json_infinite_cells_are_strict_json(capsys, argv, column, value):
+    """jq and JSON.parse reject Infinity; an infinite cell is the CSV's text."""
+    code, out, _ = _run(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(out, parse_constant=_reject_constant)["rows"]
+    assert {row[column] for row in rows} == {value}
+    _, csv_out, _ = _run(capsys, *argv)
+    assert {row[column] for row in _parse_csv(csv_out)} == {value}
+
+
 def test_figure_out_file(tmp_path, capsys):
     out_path = tmp_path / "fig.csv"
     code, out, _ = _run(capsys, "figure", "--id", "1", "--n", "50", "--reps", "5",

@@ -107,6 +107,24 @@ def test_report_table_csv_and_json():
     assert payload["rows"][1]["value"] is None  # NaN maps to null
 
 
+def _strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, as jq and JSON.parse do."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_report_table_json_has_no_non_standard_constants():
+    t = ex.ReportTable(["a", "b", "c"], [(math.inf, -math.inf, math.nan),
+                                         (np.float32("inf"), np.float64("-inf"), 1.5)], {})
+    rows = _strict_json(t.to_json())["rows"]
+    assert rows == [{"a": "inf", "b": "-inf", "c": None}, {"a": "inf", "b": "-inf", "c": 1.5}]
+    assert [line.split(",") for line in t.to_csv().splitlines()[1:]] == [
+        ["inf", "-inf", "nan"], ["inf", "-inf", "1.5"]]  # the CSV's own text
+    with pytest.raises(ValueError):  # nothing non-standard gets out, not even through meta
+        ex.ReportTable(["a"], [(1.0,)], {"x": math.inf}).to_json()
+
+
 def test_report_table_numpy_scalar_cells_emit_cleanly():
     t = ex.ReportTable(["k", "v"], [(np.int64(3), np.float64(0.25))], {})
     lines = t.to_csv().splitlines()
@@ -131,6 +149,8 @@ def _reference_tables(columns, rows, meta):
             value = value.item()
         if isinstance(value, float) and math.isnan(value):
             return None
+        if isinstance(value, float) and math.isinf(value):
+            return cell(value)  # the CSV text, "inf" or "-inf"
         return value
 
     buf = io.StringIO()
@@ -141,7 +161,8 @@ def _reference_tables(columns, rows, meta):
     for row in rows:
         writer.writerow([cell(v) for v in row])
     json_rows = [{k: json_cell(v) for k, v in zip(columns, row)} for row in rows]
-    return buf.getvalue(), json.dumps({"meta": meta, "rows": json_rows}, sort_keys=True)
+    return buf.getvalue(), json.dumps({"meta": meta, "rows": json_rows}, sort_keys=True,
+                                      allow_nan=False)
 
 
 _EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
@@ -361,6 +382,7 @@ def test_replication_map_runs_serially_without_fork(monkeypatch):
     ("child", ValueError, "bad replication in span 2"),
     ("parent", ValueError, "bad replication in span 1"),
     ("child-exit", RuntimeError, "exited without a result"),
+    ("child-fold", ValueError, "bad fold in span 2"),
 ])
 def test_replication_map_failure_reaps_every_child(monkeypatch, where, error, message):
     monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
@@ -370,14 +392,54 @@ def test_replication_map_failure_reaps_every_child(monkeypatch, where, error, me
         in_parent = os.getpid() == parent
         if where == "child-exit" and not in_parent:
             os._exit(3)
-        if in_parent == (where == "parent"):
+        if where in ("child", "parent") and in_parent == (where == "parent"):
             raise ValueError(f"bad replication in span {1 if in_parent else 2}")
         return rng.random()
 
+    def fold(block):
+        if os.getpid() != parent:
+            raise ValueError("bad fold in span 2")
+        return block
+
     with pytest.raises(error, match=message):
-        ex.replication_map(fn, 10, 7, "tag/fail", workers=2)
+        ex.replication_map(fn, 10, 7, "tag/fail", workers=2,
+                           fold=fold if where == "child-fold" else None)
     with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
         os.waitpid(-1, os.WNOHANG)
+
+
+def _row_sums(block):
+    return np.add.reduce(block, axis=1)
+
+
+@needs_fork
+@pytest.mark.parametrize("fold", [_row_sums, lambda block: block[:, ::3] * 0.5], ids=["1d", "2d"])
+def test_replication_map_fold_is_fold_of_the_stack(monkeypatch, fold):
+    """Over two full blocks and a part one, the stacked blocks are the fresh
+    streams, and fold=f gives f of them at any worker count and for a range
+    split at a block edge or inside a block."""
+    monkeypatch.setattr(rm, "_usable_cpus", lambda: 3)
+    reps = 2 * rm._BLOCK + 5
+    stacked = ex.replication_map(_mixed_draws, reps, 7, "tag/fold")
+    assert np.array_equal(stacked, _reference(_mixed_draws, reps, 7, "tag/fold"))
+    expected = fold(stacked)
+    for workers in (1, 2, 3):
+        got = ex.replication_map(_mixed_draws, reps, 7, "tag/fold", workers=workers, fold=fold)
+        assert np.array_equal(got, expected), workers
+    for at in (1, rm._BLOCK - 1, rm._BLOCK, rm._BLOCK + 700):
+        head = ex.replication_map(_mixed_draws, at, 7, "tag/fold", workers=2, fold=fold)
+        tail = ex.replication_map(_mixed_draws, reps - at, 7, "tag/fold", workers=3,
+                                  start=at, fold=fold)
+        assert np.array_equal(np.concatenate([head, tail]), expected), at
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fold", [lambda block: block[1:], np.sum, lambda block: 0.0],
+                         ids=["short", "scalar", "float"])
+def test_replication_map_fold_must_keep_one_entry_per_row(monkeypatch, fold, workers):
+    monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="fold returned shape"):
+        ex.replication_map(lambda rng: rng.random(2), 10, 7, "tag/rows", workers=workers, fold=fold)
 
 
 def test_variance_curve_values():

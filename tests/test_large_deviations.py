@@ -1,6 +1,7 @@
 """Rate functions, closed-form rates, and tail-probability oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -309,13 +310,46 @@ def test_mc_tail_approaches_rate_function():
 @given(st.sampled_from(["exp:gamma=1", "unif:gamma=0.5", "bern:gamma=0.3",
                         "gamma:r=2.5,gamma=0.7"]), st.integers(0, 2**64 - 1))
 def test_mc_tail_sum_over_k_is_the_mean(law, stream):
-    """mc_tail_logprob tests float(np.add.reduce(z)) / k >= y in place of
-    z.mean() >= y: numpy's mean is the same add.reduce divided by the count,
-    so the bits agree."""
+    """numpy's z.mean() is np.add.reduce(z) divided by the count, the quantity
+    mc_tail_logprob's fold takes from each row of a block; this pins it per
+    draw for every k up to 400 (the row form is pinned below)."""
     spec, rng = rm.parse_spec(law), rm.SeedSpec(13, stream).generator()
     for k in range(1, 401):
         z = rm.draw(spec, rng, k)
         assert float(np.add.reduce(z)) / k == z.mean()
+
+
+_PAIRWISE_EDGES = (1, 7, 8, 9, 127, 128, 129, 257, 400)  # where numpy's pairwise sum changes
+
+
+@pytest.mark.parametrize("law", ["exp:gamma=1", "unif:gamma=0.5", "bern:gamma=0.3",
+                                 "gamma:r=2.5,gamma=0.7"])
+def test_mc_tail_fold_matches_per_replication_mean(law):
+    """The row reduce of a stacked block gives each row's .mean() bit for bit,
+    and mc_tail_logprob's events are the fresh-stream count of .mean() >= y.
+    y is the law's mean, so about half the rows hit and no rate cuts the run."""
+    spec, seed, reps = rm.parse_spec(law), rm.SeedSpec(19, 4), 300
+    y = spec.mean
+    for k in _PAIRWISE_EDGES:
+        base = rm._stream_base(f"mc_tail/{spec.canonical()}/k={k}/y={y!r}/s=4")
+        block = np.asarray([rm.draw(spec, rm.SeedSpec(19, base + i).generator(), k)
+                            for i in range(reps)])
+        means = np.array([row.mean() for row in block])
+        assert np.array_equal(np.add.reduce(block, axis=1) / k, means), k
+        assert ld.mc_tail_logprob(spec, k, y, reps, seed).events == np.sum(means >= y), k
+
+
+def test_mc_tail_memory_stays_flat():
+    """Replications are folded a block at a time: holding all 100 000 x 50 draws
+    would take 40 MB, a block of them 0.4 MB."""
+    tracemalloc.start()
+    try:
+        result = ld.mc_tail_logprob(rm.exponential(1.0), 50, 1.01, 100_000, rm.SeedSpec(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.insufficient
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("law,y", [("exp:gamma=1", 1.2), ("bern:gamma=0.5", 0.6)])
