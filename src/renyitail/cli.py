@@ -26,7 +26,7 @@ from .experiments import (
     run_experiment,
 )
 from .large_deviations import gamma_family_rates, iid_comparison_rates, rate_function
-from .rand_models import SeedSpec, draw, parse_spec
+from .rand_models import ReplicationError, SeedSpec, draw, parse_spec
 from .renyi import HeavySample, heavy_sample
 
 _EPILOG = """\
@@ -441,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "rate":
             return _cmd_rate(args, argv, parser)
         return _cmd_figure(args, argv)
-    except (DataError, ValueError, NotImplementedError, OSError) as exc:
+    except (DataError, ValueError, NotImplementedError, OSError, ReplicationError) as exc:
         print(f"renyitail: error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import chain
@@ -19,11 +20,13 @@ from itertools import chain
 import numpy as np
 
 from . import estimators
-from .large_deviations import _tail_rate, exact_hill_tail, mc_tail_logprob
+from .large_deviations import _tail_job, _tail_rate, _tail_result, exact_hill_tail
 from .rand_models import (
     DistributionSpec,
     SeedSpec,
     _index,
+    _Job,
+    _replications,
     draw,
     parse_spec,
     replication_map,
@@ -199,13 +202,18 @@ def _heavy_for(spec: DistributionSpec, rng, n: int) -> HeavySample:
     return HeavySample(scale_c=support(spec)[0], w=w)
 
 
-def _per_law(cfg: ExperimentConfig, one_rep, reps: int, workers: int, suffix: str = ""):
-    """Yield each law of the config with the results of ``reps`` calls of
-    ``one_rep(law, rng)``, on the stream tag ``{experiment}/{law}{suffix}``."""
-    for spec in cfg.specs:
-        yield spec, replication_map(partial(one_rep, spec), reps, cfg.master_seed,
-                                    f"{cfg.experiment}/{spec.canonical()}{suffix}",
-                                    workers=workers)
+def _law_jobs(cfg: ExperimentConfig, one_rep, suffix: str = "") -> list[_Job]:
+    """One job per law of the config: ``cfg.reps`` calls of ``one_rep(law, rng)``
+    on the stream tag ``{experiment}/{law}{suffix}``."""
+    return [_Job(partial(one_rep, spec), cfg.reps, f"{cfg.experiment}/{spec.canonical()}{suffix}")
+            for spec in cfg.specs]
+
+
+def _per_law(cfg: ExperimentConfig, one_rep, workers: int):
+    """Yield each law of the config with the results of its ``_law_jobs`` job;
+    the run forks its worker processes once, for all its laws."""
+    with closing(_replications(_law_jobs(cfg, one_rep), cfg.master_seed, workers)) as results:
+        yield from zip(cfg.specs, results)
 
 
 def _rows(keys, columns) -> list[tuple]:
@@ -235,7 +243,7 @@ def run_variance_curve(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
 
     degenerate = cfg.reps < 2
     cols = [[estimators.h_function(s) for s in s_grid]]
-    for spec, vals in _per_law(cfg, one_rep, cfg.reps, workers):
+    for spec, vals in _per_law(cfg, one_rep, workers):
         scaled = math.sqrt(n) * (vals - spec.gamma) / math.sqrt(spec.variance)
         if degenerate:
             cols.append(np.zeros(len(s_grid)))
@@ -260,7 +268,7 @@ def run_hill_plot(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     def one_rep(spec, rng):
         return estimators.hill_trajectory(_heavy_for(spec, rng, n))
 
-    trajs = [np.mean(vals, axis=0) for _, vals in _per_law(cfg, one_rep, cfg.reps, workers)]
+    trajs = [np.mean(vals, axis=0) for _, vals in _per_law(cfg, one_rep, workers)]
     columns = ["k"] + [s.canonical() for s in cfg.specs]
     return ReportTable(columns, _rows(range(1, n + 1), trajs), _meta(cfg))
 
@@ -286,7 +294,7 @@ def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
         return np.concatenate([(dev <= sig * unit), (dev <= gh * unit)])
 
     columns, cols = ["k"], []
-    for spec, vals in _per_law(cfg, one_rep, cfg.reps, workers):
+    for spec, vals in _per_law(cfg, one_rep, workers):
         freq = np.mean(vals, axis=0)
         cols += [freq[: len(ks)], freq[len(ks):]]
         columns += [f"{spec.canonical()}_spacing", f"{spec.canonical()}_self"]
@@ -313,25 +321,28 @@ def run_exponential_limit(cfg: ExperimentConfig, workers: int = 1) -> ReportTabl
     for spec in cfg.specs:
         tagc = spec.canonical()
         columns += [f"{tagc}_ks", f"{tagc}_corr", f"{tagc}_m11", f"{tagc}_m11_exact"]
+
+    def one_rep(m, weights, spec, rng):
+        x = np.cumsum(draw(spec, rng, m) * weights)
+        i = int(rng.integers(m))
+        j = int(rng.integers(m - 1))
+        if j >= i:
+            j += 1
+        return (x[i], x[j])
+
+    # one job per (n, law), n-major, so the run forks its worker processes once
+    jobs = [job for m in n_grid
+            for job in _law_jobs(cfg, partial(one_rep, m, 1.0 / _descending(m)), f"/n={m}")]
     rows = []
-    for m in n_grid:
-        weights = 1.0 / _descending(m)
-
-        def one_rep(spec, rng):
-            x = np.cumsum(draw(spec, rng, m) * weights)
-            i = int(rng.integers(m))
-            j = int(rng.integers(m - 1))
-            if j >= i:
-                j += 1
-            return (x[i], x[j])
-
-        cells = [m, float(stats.kstwobign.isf(0.01)) / math.sqrt(cfg.reps)]
-        for spec, vals in _per_law(cfg, one_rep, cfg.reps, workers, suffix=f"/n={m}"):
-            v1, v2 = vals[:, 0], vals[:, 1]
-            ks = stats.kstest(v1, lambda t: 1.0 - np.exp(-t / spec.gamma)).statistic
-            cells += [float(ks), float(np.corrcoef(v1, v2)[0, 1]), float(np.mean(v1 * v2)),
-                      float(exact[spec][m])]
-        rows.append(tuple(cells))
+    with closing(_replications(jobs, cfg.master_seed, workers)) as results:
+        for m in n_grid:
+            cells = [m, float(stats.kstwobign.isf(0.01)) / math.sqrt(cfg.reps)]
+            for spec, vals in zip(cfg.specs, results):
+                v1, v2 = vals[:, 0], vals[:, 1]
+                ks = stats.kstest(v1, lambda t: 1.0 - np.exp(-t / spec.gamma)).statistic
+                cells += [float(ks), float(np.corrcoef(v1, v2)[0, 1]), float(np.mean(v1 * v2)),
+                          float(exact[spec][m])]
+            rows.append(tuple(cells))
     return ReportTable(columns, rows, _meta(cfg))
 
 
@@ -352,13 +363,19 @@ def run_ld_check(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     cfg = replace(cfg, k_grid=tuple(k_grid))
     limit = -_tail_rate(spec, cfg.y)
     columns = ["k", "mc", "mc_se", "events", "insufficient", "exact", "limit"]
+    # mc_tail_logprob per k, with one job for each k it does not decline, so
+    # the run forks its worker processes once
+    seed = SeedSpec(cfg.master_seed)
+    jobs = [(k, _tail_job(spec, k, cfg.y, cfg.reps, seed)) for k in cfg.k_grid]
+    ran = _replications([job for _, job in jobs if job is not None], cfg.master_seed, workers)
     rows = []
-    for k in cfg.k_grid:
-        res = mc_tail_logprob(spec, k, cfg.y, cfg.reps,
-                              SeedSpec(cfg.master_seed), workers=workers)
-        exact = exact_hill_tail(spec, k, cfg.y) / k if spec.kind in ("exp", "gamma") else None
-        rows.append((k, res.estimate, res.std_error, res.events,
-                     int(res.insufficient), exact, limit))
+    with closing(ran) as hits:
+        for k, job in jobs:
+            events = 0 if job is None else int(np.count_nonzero(next(hits)))
+            res = _tail_result(events, k, cfg.reps)
+            exact = exact_hill_tail(spec, k, cfg.y) / k if spec.kind in ("exp", "gamma") else None
+            rows.append((k, res.estimate, res.std_error, res.events,
+                         int(res.insufficient), exact, limit))
     return ReportTable(columns, rows, _meta(cfg))
 
 

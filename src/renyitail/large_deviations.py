@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rand_models import DistributionSpec, SeedSpec, _index, draw, moment, replication_map
+from .rand_models import (
+    DistributionSpec,
+    SeedSpec,
+    _index,
+    _Job,
+    draw,
+    moment,
+    replication_map,
+)
 
 __all__ = [
     "rate_function",
@@ -218,19 +226,17 @@ def _tail_rate(spec: DistributionSpec, y: float) -> float:
     return rate_function(spec, y)
 
 
-def mc_tail_logprob(spec: DistributionSpec, k: int, y: float, reps: int,
-                    seed: SeedSpec, workers: int = 1) -> MCTailResult:
-    """Estimate (1/k) log P(hill(k) >= y) from raw replication frequencies.
+def _tail_job(spec: DistributionSpec, k: int, y: float, reps: int, seed: SeedSpec) -> _Job | None:
+    """The replication job behind ``mc_tail_logprob`` (k and reps positive
+    ints), or None where it declines: when the expected event count
+    reps * exp(-k * rate) falls below 100.
 
-    Declines to report a number when the expected event count
-    reps * exp(-k * rate) falls below 100, or when no events occur.
+    Each replication draws k values; the job's fold marks the rows whose
+    mean is at least y.
     """
-    k, reps = _index(k, "k"), _index(reps, "reps")
-    if k < 1 or reps < 1:
-        raise ValueError("k and reps must be positive")
     rate = _tail_rate(spec, y)
     if math.isinf(rate) or reps * math.exp(-k * rate) < 100.0:
-        return MCTailResult(None, None, 0, reps, True)
+        return None
 
     def one_rep(rng) -> np.ndarray:
         return draw(spec, rng, k)
@@ -241,11 +247,32 @@ def mc_tail_logprob(spec: DistributionSpec, k: int, y: float, reps: int,
         return np.add.reduce(block, axis=1) / k >= y
 
     tag = f"mc_tail/{spec.canonical()}/k={k}/y={y!r}/s={seed.stream_index}"
-    events = int(np.count_nonzero(replication_map(one_rep, reps, seed.master_seed, tag,
-                                                  workers=workers, fold=hits)))
+    return _Job(one_rep, reps, tag, fold=hits)
+
+
+def _tail_result(events: int, k: int, reps: int) -> MCTailResult:
+    """The estimate from an event count; insufficient when there is no event."""
     if events == 0:
         return MCTailResult(None, None, 0, reps, True)
     p_hat = events / reps
     est = math.log(p_hat) / k
     se = math.sqrt((1.0 - p_hat) / (reps * p_hat)) / k
     return MCTailResult(est, se, events, reps, False)
+
+
+def mc_tail_logprob(spec: DistributionSpec, k: int, y: float, reps: int,
+                    seed: SeedSpec, workers: int = 1) -> MCTailResult:
+    """Estimate (1/k) log P(hill(k) >= y) from raw replication frequencies.
+
+    Declines to report a number when the expected event count
+    reps * exp(-k * rate) falls below 100, or when no events occur.
+    """
+    k, reps = _index(k, "k"), _index(reps, "reps")
+    if k < 1 or reps < 1:
+        raise ValueError("k and reps must be positive")
+    job = _tail_job(spec, k, y, reps, seed)
+    if job is None:
+        return _tail_result(0, k, reps)
+    hits = replication_map(job.fn, reps, seed.master_seed, job.tag, workers=workers,
+                           fold=job.fold)
+    return _tail_result(int(np.count_nonzero(hits)), k, reps)

@@ -14,14 +14,17 @@ indices never share state and results are independent of scheduling.
 
 from __future__ import annotations
 
+import io
 import math
 import operator
 import os
 import pickle
 import signal
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -29,6 +32,7 @@ from numpy.random import Generator, Philox
 __all__ = [
     "DistributionSpec",
     "SeedSpec",
+    "ReplicationError",
     "replication_map",
     "exponential",
     "uniform",
@@ -237,6 +241,20 @@ def _usable_cpus() -> int:
 _BLOCK = 1 << 10  # replications stacked at a time, and so at most one fold call's rows
 
 
+class ReplicationError(RuntimeError):
+    """A forked replication worker failed in a way that cannot be re-raised as itself."""
+
+
+class _Job(NamedTuple):
+    """One replication_map call's work: fn on streams start..start+reps-1 of tag."""
+
+    fn: Callable
+    reps: int
+    tag: str
+    start: int = 0
+    fold: Callable | None = None
+
+
 def replication_map(fn, reps: int, master_seed: int, tag: str,
                     workers: int = 1, start: int = 0, fold=None) -> np.ndarray:
     """Evaluate fn(rng) on per-replication streams start..start+reps-1.
@@ -261,44 +279,96 @@ def replication_map(fn, reps: int, master_seed: int, tag: str,
     ``os.fork`` exists, every span after the first runs in a forked child,
     which inherits fn and fold (closures included) and pipes back its
     stacked results; elsewhere the spans run serially.  An exception raised
-    by fn or fold in a child is re-raised here.  The generator passed to fn
-    is re-keyed for the next replication, so fn must not keep it.
+    by fn or fold in a child is re-raised here, or reported as a
+    ``ReplicationError`` naming its type and message when it cannot cross
+    the pipe.  The generator passed to fn is re-keyed for the next
+    replication, so fn must not keep it.
+
+    This is the one-job case of ``_replications``, through which a figure
+    run hands all its laws, k values or sizes to one set of worker
+    processes, forked once per run.
     """
-    reps, workers, start = _index(reps, "reps"), _index(workers, "workers"), _index(start, "start")
+    (result,) = _replications([_Job(fn, reps, tag, start, fold)], master_seed, workers)
+    return result
+
+
+def _checked(job: _Job) -> _Job:
+    """job with integer counts, or ValueError if its streams do not fit in 64 bits."""
+    reps, start = _index(job.reps, "reps"), _index(job.start, "start")
     if reps < 1:
         raise ValueError("reps must be positive")
-    base = _stream_base(tag)
-    master_seed = SeedSpec(master_seed).master_seed  # a plain int in 0..2**64-1
-    first, last = base + start, base + start + reps - 1
-    if first < 0 or last >= 2**64:
-        raise ValueError(f"streams {first}..{last} of tag {tag!r} "
+    first = _stream_base(job.tag) + start
+    if first < 0 or first + reps > 2**64:
+        raise ValueError(f"streams {first}..{first + reps - 1} of tag {job.tag!r} "
                          "do not fit in 64 unsigned bits")
+    return job._replace(reps=reps, start=start)
 
-    def run_span(lo: int, hi: int) -> np.ndarray:
-        rngs = _streams(master_seed, range(base + lo, base + hi))
-        parts = []
-        for _ in range(lo, hi, _BLOCK):  # the last block takes what is left
-            block = np.asarray([fn(rng) for rng in islice(rngs, _BLOCK)])
-            parts.append(block if fold is None else _folded(fold, block))
+
+def _replications(jobs, master_seed: int, workers: int):
+    """Yield each job's results, as ``replication_map`` stacks them, in job order.
+
+    Every job is checked before any replication runs.  The jobs share one
+    set of spans, as many as the smallest of ``workers``, the largest job's
+    ``reps`` and the CPUs this process may use; span s of a job is the s-th
+    of its contiguous cuts, which is empty when the job has fewer
+    replications than spans.  Where ``os.fork`` exists the spans after the
+    first are forked once, before the first job: each child runs its span
+    of every job in job order and pipes each part back as soon as it is
+    stacked.  The parent runs the first span of a job and reads the job's
+    parts before it yields it, and starts on the next job only when asked
+    for it, so the parent holds one job's results at a time.  When the
+    generator ends or is closed the children are reaped; unless every job
+    was read (an error unwinds, or the caller stopped early) they are
+    killed first.
+    """
+    jobs = [_checked(job) for job in jobs]
+    workers = _index(workers, "workers")
+    master_seed = SeedSpec(master_seed).master_seed  # a plain int in 0..2**64-1
+    longest = max((job.reps for job in jobs), default=1)
+    spans = min(workers, longest, _usable_cpus()) if hasattr(os, "fork") else 1
+    if spans <= 1:
+        for job in jobs:
+            yield _run_span(job, master_seed, job.start, job.start + job.reps)
+        return
+    # exact for a huge start; cut[s]..cut[s+1] is span s of the job
+    cuts = [[job.start + job.reps * s // spans for s in range(spans + 1)] for job in jobs]
+
+    def span_parts(s: int):
+        for job, cut in zip(jobs, cuts):
+            if cut[s] < cut[s + 1]:
+                yield _run_span(job, master_seed, cut[s], cut[s + 1])
+
+    def gathered(job: _Job, cut: list[int]) -> np.ndarray:
+        parts = [_run_span(job, master_seed, cut[0], cut[1])] if cut[0] < cut[1] else []
+        parts += [_read_part(src) for s, (_, src) in enumerate(children, 1)
+                  if cut[s] < cut[s + 1]]
         return np.concatenate(parts)
 
-    spans = min(workers, reps, _usable_cpus()) if hasattr(os, "fork") else 1
-    if spans <= 1:
-        return run_span(start, start + reps)
-    bounds = [start + reps * j // spans for j in range(spans + 1)]  # exact for huge start
-    children, joined = [], False
+    children, finished = [], False
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_span(run_span, lo, hi))
-        parts = [run_span(bounds[0], bounds[1])]
-        parts += [_read_span(rfd) for _, rfd in children]
-        joined = True
+        for s in range(1, spans):
+            children.append(_fork_parts(span_parts(s)))
+        for j, (job, cut) in enumerate(zip(jobs, cuts)):
+            result = gathered(job, cut)
+            finished = j == len(jobs) - 1
+            yield result
     finally:
-        for pid, rfd in children:
-            if not joined:  # unwinding: the other spans' results are not wanted
+        for pid, src in children:
+            if not finished:  # unwinding: the other spans' results are not wanted
                 os.kill(pid, signal.SIGKILL)
-            os.close(rfd)
+            src.close()
             os.waitpid(pid, 0)
+
+
+def _run_span(job: _Job, master_seed: int, lo: int, hi: int) -> np.ndarray:
+    """job's results for streams lo..hi-1 of its tag, stacked (or folded) by block."""
+    fn, fold = job.fn, job.fold
+    base = _stream_base(job.tag)
+    rngs = _streams(master_seed, range(base + lo, base + hi))
+    parts = []
+    for _ in range(lo, hi, _BLOCK):  # the last block takes what is left
+        block = np.asarray([fn(rng) for rng in islice(rngs, _BLOCK)])
+        parts.append(block if fold is None else _folded(fold, block))
     return np.concatenate(parts)
 
 
@@ -310,12 +380,15 @@ def _folded(fold, block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fork_span(run_span, lo: int, hi: int) -> tuple[int, int]:
-    """Fork a child that runs streams lo..hi-1; return its pid and pipe read end.
+def _fork_parts(parts) -> tuple[int, io.BufferedReader]:
+    """Fork a child that pipes back each array of the iterable ``parts``;
+    return its pid and the read end of its pipe.
 
-    The child pickles ``(True, results)`` or ``(False, exception)`` into the
-    pipe and leaves by ``os._exit``, so it never runs the parent's cleanup
-    code or flushes the parent's stdio buffers.
+    The child pickles ``(True, part)`` for each part as soon as it is made,
+    and stops at the first exception with ``(False, (the exception pickled,
+    or None if it cannot be, "Type: message"))``.  It leaves by
+    ``os._exit``, so it never runs the parent's cleanup code or flushes the
+    parent's stdio buffers.
     """
     rfd, wfd = os.pipe()
     try:
@@ -326,31 +399,41 @@ def _fork_span(run_span, lo: int, hi: int) -> tuple[int, int]:
         raise
     if pid:
         os.close(wfd)
-        return pid, rfd
+        return pid, open(rfd, "rb")
     status = 1
     try:
         os.close(rfd)
-        try:
-            message = (True, run_span(lo, hi))
-        except Exception as exc:
-            message = (False, exc)
         with open(wfd, "wb") as out:
-            pickle.dump(message, out, protocol=pickle.HIGHEST_PROTOCOL)
+            try:
+                for part in parts:
+                    # pickled whole first, so a part that cannot be pickled writes nothing
+                    out.write(pickle.dumps((True, part), protocol=pickle.HIGHEST_PROTOCOL))
+                    out.flush()
+            except Exception as exc:
+                try:
+                    blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+                except Exception:
+                    blob = None
+                out.write(pickle.dumps((False, (blob, f"{type(exc).__name__}: {exc}"))))
         status = 0
     finally:
         os._exit(status)
 
 
-def _read_span(rfd: int) -> np.ndarray:
-    """The results a forked span wrote to its pipe; re-raise its exception."""
-    with open(rfd, "rb", closefd=False) as src:
-        try:
-            ok, value = pickle.load(src)
-        except (EOFError, pickle.UnpicklingError):
-            raise RuntimeError("a replication worker process exited without a result") from None
-    if not ok:
-        raise value
-    return value
+def _read_part(src) -> np.ndarray:
+    """The next part a forked span wrote to its pipe; re-raise its exception."""
+    try:
+        ok, value = pickle.load(src)
+    except (EOFError, pickle.UnpicklingError):
+        raise ReplicationError("a replication worker process exited without a result") from None
+    if ok:
+        return value
+    blob, text = value
+    try:
+        exc = pickle.loads(blob)
+    except Exception:  # not picklable in the child (blob is None), or not rebuildable here
+        raise ReplicationError(f"a replication worker process raised {text}") from None
+    raise exc
 
 
 def draw(spec: DistributionSpec, rng: Generator, count: int) -> np.ndarray:

@@ -370,6 +370,35 @@ def test_figure_out_file(tmp_path, capsys):
     assert out_path.read_text().startswith("# ")
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@pytest.mark.parametrize("failure,message", [
+    ("exit", "a replication worker process exited without a result"),
+    ("unpicklable", "a replication worker process raised ValueError: <function"),
+])
+def test_figure_reports_a_worker_failure_exit_1(monkeypatch, capsys, failure, message):
+    """A forked worker's failure that cannot be re-raised as itself is a
+    one-line error with exit 1, not a traceback, and leaves no child."""
+    from renyitail import experiments, rand_models
+
+    monkeypatch.setattr(rand_models, "_usable_cpus", lambda: 2)
+    parent, real_draw = os.getpid(), experiments.draw
+
+    def draw_failing_in_a_child(spec, rng, count):
+        if os.getpid() != parent:
+            if failure == "exit":
+                os._exit(3)
+            raise ValueError(lambda: 0)
+        return real_draw(spec, rng, count)
+
+    monkeypatch.setattr(experiments, "draw", draw_failing_in_a_child)
+    code, out, err = _run(capsys, "figure", "--id", "1", "--n", "50", "--reps", "20",
+                          "--workers", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"renyitail: error: {message}") and err.count("\n") == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_figure_spec_override(capsys):
     code, out, _ = _run(capsys, "figure", "--id", "1", "--n", "50", "--reps", "5",
                         "--spec", "exp:gamma=0.25", "--seed", "9")

@@ -377,12 +377,21 @@ def test_replication_map_runs_serially_without_fork(monkeypatch):
     assert _pids(10, workers=2) == {os.getpid()}
 
 
+class _TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt from its args: unpickling calls it with one."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
 @needs_fork
 @pytest.mark.parametrize("where,error,message", [
     ("child", ValueError, "bad replication in span 2"),
     ("parent", ValueError, "bad replication in span 1"),
-    ("child-exit", RuntimeError, "exited without a result"),
+    ("child-exit", RuntimeError, "exited without a result"),  # a ReplicationError
     ("child-fold", ValueError, "bad fold in span 2"),
+    ("child-unrebuildable", rm.ReplicationError, "raised _TwoArgError: x and y"),
+    ("child-unpicklable", rm.ReplicationError, "raised ValueError: <function"),
 ])
 def test_replication_map_failure_reaps_every_child(monkeypatch, where, error, message):
     monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
@@ -394,6 +403,10 @@ def test_replication_map_failure_reaps_every_child(monkeypatch, where, error, me
             os._exit(3)
         if where in ("child", "parent") and in_parent == (where == "parent"):
             raise ValueError(f"bad replication in span {1 if in_parent else 2}")
+        if where == "child-unrebuildable" and not in_parent:
+            raise _TwoArgError("x", "y")
+        if where == "child-unpicklable" and not in_parent:
+            raise ValueError(lambda: 0)
         return rng.random()
 
     def fold(block):
@@ -406,6 +419,142 @@ def test_replication_map_failure_reaps_every_child(monkeypatch, where, error, me
                            fold=fold if where == "child-fold" else None)
     with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
         os.waitpid(-1, os.WNOHANG)
+
+
+def _fork_counter(monkeypatch):
+    """A list that gains one entry per os.fork call made in this process."""
+    forks, fork = [], os.fork
+    parent = os.getpid()
+
+    def counting_fork():
+        if os.getpid() == parent:
+            forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@needs_fork
+def test_replications_share_one_fork_across_jobs(monkeypatch):
+    """Jobs of unequal size, some with fewer replications than spans, each
+    give their replication_map result, from one fork per span after the first."""
+    monkeypatch.setattr(rm, "_usable_cpus", lambda: 3)
+    jobs = [rm._Job(_mixed_draws, 7, "tag/a"), rm._Job(_mixed_draws, 1, "tag/b", start=5),
+            rm._Job(_mixed_draws, 2, "tag/c", fold=_row_sums), rm._Job(_mixed_draws, 30, "tag/a", 7)]
+    expected = [ex.replication_map(job.fn, job.reps, 7, job.tag, start=job.start, fold=job.fold)
+                for job in jobs]
+    forks = _fork_counter(monkeypatch)
+    got = list(rm._replications(jobs, 7, workers=3))
+    assert len(forks) == 2
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+    assert list(rm._replications([], 7, workers=3)) == [] and len(forks) == 2
+    with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("where", ["fn", "fold", "consumer"])
+def test_replications_failure_reaps_every_child(monkeypatch, where):
+    """A failure in any job of a multi-job run is re-raised and reaps every
+    child: fn or fold raising in a child during the second of three jobs, or
+    the consumer raising after the first job while a child is still working,
+    or blocked writing a part bigger than the pipe's buffer."""
+    monkeypatch.setattr(rm, "_usable_cpus", lambda: 3)
+    parent = os.getpid()
+
+    def fn(tag, rng):
+        if where == "fn" and tag == "tag/2" and os.getpid() != parent:
+            raise ValueError("bad replication in job 2")
+        return rng.random(512)  # 4 kB a replication: a 100-replication part fills a pipe
+
+    def fold(tag, block):
+        if where == "fold" and tag == "tag/2" and os.getpid() != parent:
+            raise ValueError("bad fold in job 2")
+        return block
+
+    jobs = [rm._Job(partial(fn, f"tag/{j}"), 300, f"tag/{j}", fold=partial(fold, f"tag/{j}"))
+            for j in (1, 2, 3)]
+    seen = []
+    with pytest.raises(ValueError, match="job 2" if where != "consumer" else "consumer"):
+        for result in rm._replications(jobs, 7, workers=3):
+            seen.append(len(result))
+            if where == "consumer":
+                raise ValueError("consumer failed between jobs")
+    assert seen == [300]
+    with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _one_fork_runs():
+    """(config, spans at 3 usable CPUs and 3 workers) for every experiment."""
+    runs = [
+        (ex.ExperimentConfig(experiment="variance_curve", specs=THREE_LAWS, n=50, reps=20,
+                             s_grid=(0.3, 0.5, 0.9)), 3),
+        (ex.ExperimentConfig(experiment="hill_plot", specs=THREE_LAWS, n=40, reps=5), 3),
+        (ex.ExperimentConfig(experiment="hill_plot", specs=THREE_LAWS, n=40, reps=1), 1),
+        (ex.ExperimentConfig(experiment="coverage", specs=THREE_LAWS, n=100, reps=20,
+                             k_grid=(10, 50)), 3),
+        (ex.ExperimentConfig(experiment="exp_limit", specs=THREE_LAWS, n_grid=(50, 200),
+                             reps=20), 3),
+        (ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), y=1.5, reps=2000,
+                             k_grid=(5, 10, 400)), 3),  # k = 400 is declined: no job
+        # at 2 replications every k is declined, so the run has no job and no fork
+        (ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), y=1.5, reps=2,
+                             k_grid=(5, 10)), 1),
+    ]
+    return [pytest.param(cfg, spans, id=f"{cfg.experiment}-reps{cfg.reps}") for cfg, spans in runs]
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("cfg,spans", _one_fork_runs())
+def test_every_experiment_forks_once_per_run(monkeypatch, cfg, spans, cpus, workers):
+    """A run forks one process per span after the first, for all its laws,
+    k values and sizes, reaps them all, and writes the one-worker bytes."""
+    monkeypatch.setattr(rm, "_usable_cpus", lambda: cpus)
+    expected = ex.run_experiment(cfg, workers=1).to_csv()
+    forks = _fork_counter(monkeypatch)
+    got = ex.run_experiment(cfg, workers=workers).to_csv()
+    assert len(forks) == min(spans, cpus, workers) - 1
+    assert got == expected
+    with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _one_law_at_a_time(jobs, master_seed, workers):
+    """The engine as one replication_map call per job: one law's results at a time."""
+    for job in jobs:
+        yield ex.replication_map(job.fn, job.reps, master_seed, job.tag, workers=workers,
+                                 start=job.start, fold=job.fold)
+
+
+@needs_fork
+def test_one_fork_run_holds_one_law_at_a_time(monkeypatch):
+    """The parent reduces each law before it reads the next one's parts: at
+    desk size its peak stays within 1 MB of a run made one law at a time."""
+    import tracemalloc
+
+    monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
+    cfg = ex.ExperimentConfig(experiment="variance_curve", specs=THREE_LAWS, n=1000, reps=1000)
+
+    def peak_mb():
+        tracemalloc.start()
+        try:
+            table = ex.run_variance_curve(cfg, workers=2)
+            return tracemalloc.get_traced_memory()[1] / 2**20, table.to_csv()
+        finally:
+            tracemalloc.stop()
+
+    peak, table = peak_mb()
+    with monkeypatch.context() as m:
+        m.setattr(ex, "_replications", _one_law_at_a_time)
+        bound, expected = peak_mb()
+    assert table == expected
+    assert peak <= bound + 1.0, (peak, bound)
 
 
 def _row_sums(block):
