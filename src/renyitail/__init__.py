@@ -8,6 +8,7 @@ estimators with confidence intervals, large-deviation rates, and a seeded
 Monte Carlo experiment harness with a CLI front end.
 """
 
+from .engine import SeedSpec
 from .estimators import (
     h_function,
     h_minimizer,
@@ -47,7 +48,6 @@ from .likelihood import (
 )
 from .rand_models import (
     DistributionSpec,
-    SeedSpec,
     bernoulli,
     cf,
     draw,

@@ -19,6 +19,7 @@ from itertools import chain
 import numpy as np
 
 from . import estimators, likelihood
+from .engine import ReplicationError, SeedSpec
 from .experiments import (
     DEFAULT_SEED,
     ExperimentConfig,
@@ -26,7 +27,7 @@ from .experiments import (
     run_experiment,
 )
 from .large_deviations import gamma_family_rates, iid_comparison_rates, rate_function
-from .rand_models import ReplicationError, SeedSpec, draw, parse_spec
+from .rand_models import draw, parse_spec
 from .renyi import HeavySample, heavy_sample
 
 _EPILOG = """\

@@ -20,18 +20,9 @@ from itertools import chain
 import numpy as np
 
 from . import estimators
-from .large_deviations import _tail_job, _tail_rate, _tail_result, exact_hill_tail
-from .rand_models import (
-    DistributionSpec,
-    SeedSpec,
-    _index,
-    _Job,
-    _replications,
-    draw,
-    parse_spec,
-    replication_map,
-    support,
-)
+from .engine import SeedSpec, _Job, _replications, replication_map
+from .large_deviations import _tail_rate, _tail_results, exact_hill_tail
+from .rand_models import DistributionSpec, _index, draw, parse_spec, support
 from .renyi import HeavySample, _descending, cross_moment_recursion, heavy_sample
 
 __all__ = [
@@ -363,16 +354,11 @@ def run_ld_check(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     cfg = replace(cfg, k_grid=tuple(k_grid))
     limit = -_tail_rate(spec, cfg.y)
     columns = ["k", "mc", "mc_se", "events", "insufficient", "exact", "limit"]
-    # mc_tail_logprob per k, with one job for each k it does not decline, so
-    # the run forks its worker processes once
-    seed = SeedSpec(cfg.master_seed)
-    jobs = [(k, _tail_job(spec, k, cfg.y, cfg.reps, seed)) for k in cfg.k_grid]
-    ran = _replications([job for _, job in jobs if job is not None], cfg.master_seed, workers)
+    # mc_tail_logprob per k, from one engine run that forks its worker processes once
+    ran = _tail_results(spec, cfg.k_grid, cfg.y, cfg.reps, SeedSpec(cfg.master_seed), workers)
     rows = []
-    with closing(ran) as hits:
-        for k, job in jobs:
-            events = 0 if job is None else int(np.count_nonzero(next(hits)))
-            res = _tail_result(events, k, cfg.reps)
+    with closing(ran) as results:
+        for k, res in zip(cfg.k_grid, results):
             exact = exact_hill_tail(spec, k, cfg.y) / k if spec.kind in ("exp", "gamma") else None
             rows.append((k, res.estimate, res.std_error, res.events,
                          int(res.insufficient), exact, limit))

@@ -12,19 +12,13 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rand_models import (
-    DistributionSpec,
-    SeedSpec,
-    _index,
-    _Job,
-    draw,
-    moment,
-    replication_map,
-)
+from .engine import SeedSpec, _Job, _replications
+from .rand_models import DistributionSpec, _index, draw, moment
 
 __all__ = [
     "rate_function",
@@ -118,8 +112,8 @@ def gamma_family_rates(r: float, c: float) -> tuple[float, float]:
     """Limiting (1/k) log P(hill/gamma >= 1+c) and <= 1-c for gamma(r, r/gamma)
     spacings: (-rc + r log(1+c), rc + r log(1-c)).
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
     upper = -r * c + r * math.log1p(c)
@@ -141,8 +135,8 @@ def log_gammaincc(a: float, x: float) -> float:
     Continued fraction (modified Lentz) for x > a+1, series for the lower
     function otherwise; relative accuracy in the log around 1e-13.
     """
-    if not a > 0:
-        raise ValueError("shape a must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError("shape a must be positive and finite")
     if math.isnan(x):
         raise ValueError("x must not be NaN")
     if x <= 0.0:
@@ -191,6 +185,7 @@ def exact_hill_tail(spec: DistributionSpec, k: int, y: float) -> float:
     k * hill(k) is a sum of k iid gamma(r, r/gamma) variables, hence
     gamma(k r, r/gamma); the tail is a regularized upper incomplete gamma.
     """
+    k = _index(k, "k")
     if k < 1:
         raise ValueError("k must be at least 1")
     if math.isnan(y):
@@ -226,17 +221,9 @@ def _tail_rate(spec: DistributionSpec, y: float) -> float:
     return rate_function(spec, y)
 
 
-def _tail_job(spec: DistributionSpec, k: int, y: float, reps: int, seed: SeedSpec) -> _Job | None:
-    """The replication job behind ``mc_tail_logprob`` (k and reps positive
-    ints), or None where it declines: when the expected event count
-    reps * exp(-k * rate) falls below 100.
-
-    Each replication draws k values; the job's fold marks the rows whose
-    mean is at least y.
-    """
-    rate = _tail_rate(spec, y)
-    if math.isinf(rate) or reps * math.exp(-k * rate) < 100.0:
-        return None
+def _tail_job(spec: DistributionSpec, k: int, y: float, reps: int, seed: SeedSpec) -> _Job:
+    """The replication job of one k: each replication draws k values, and
+    the job's fold marks the rows whose mean is at least y."""
 
     def one_rep(rng) -> np.ndarray:
         return draw(spec, rng, k)
@@ -250,14 +237,29 @@ def _tail_job(spec: DistributionSpec, k: int, y: float, reps: int, seed: SeedSpe
     return _Job(one_rep, reps, tag, fold=hits)
 
 
-def _tail_result(events: int, k: int, reps: int) -> MCTailResult:
-    """The estimate from an event count; insufficient when there is no event."""
-    if events == 0:
-        return MCTailResult(None, None, 0, reps, True)
-    p_hat = events / reps
-    est = math.log(p_hat) / k
-    se = math.sqrt((1.0 - p_hat) / (reps * p_hat)) / k
-    return MCTailResult(est, se, events, reps, False)
+def _tail_results(spec: DistributionSpec, ks, y: float, reps: int, seed: SeedSpec,
+                  workers: int):
+    """Yield the ``mc_tail_logprob`` result of each k of ks, in order.
+
+    A k is declined when the expected event count reps * exp(-k * rate)
+    falls below 100; every other k is one job of a single ``_replications``
+    run, which forks the worker processes once for all of ks.
+    """
+    ks, reps = [_index(k, "k") for k in ks], _index(reps, "reps")
+    if reps < 1 or any(k < 1 for k in ks):
+        raise ValueError("k and reps must be positive")
+    rate = _tail_rate(spec, y)
+    runs = [reps * math.exp(-k * rate) >= 100.0 for k in ks]  # an infinite rate gives exp 0
+    jobs = [_tail_job(spec, k, y, reps, seed) for k, run in zip(ks, runs) if run]
+    with closing(_replications(jobs, seed.master_seed, workers)) as hits:
+        for k, run in zip(ks, runs):
+            events = int(np.count_nonzero(next(hits))) if run else 0
+            if events == 0:
+                yield MCTailResult(None, None, 0, reps, True)
+                continue
+            p_hat = events / reps
+            se = math.sqrt((1.0 - p_hat) / (reps * p_hat)) / k
+            yield MCTailResult(math.log(p_hat) / k, se, events, reps, False)
 
 
 def mc_tail_logprob(spec: DistributionSpec, k: int, y: float, reps: int,
@@ -267,12 +269,5 @@ def mc_tail_logprob(spec: DistributionSpec, k: int, y: float, reps: int,
     Declines to report a number when the expected event count
     reps * exp(-k * rate) falls below 100, or when no events occur.
     """
-    k, reps = _index(k, "k"), _index(reps, "reps")
-    if k < 1 or reps < 1:
-        raise ValueError("k and reps must be positive")
-    job = _tail_job(spec, k, y, reps, seed)
-    if job is None:
-        return _tail_result(0, k, reps)
-    hits = replication_map(job.fn, reps, seed.master_seed, job.tag, workers=workers,
-                           fold=job.fold)
-    return _tail_result(int(np.count_nonzero(hits)), k, reps)
+    (result,) = _tail_results(spec, (k,), y, reps, seed, workers)
+    return result

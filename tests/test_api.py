@@ -1,5 +1,6 @@
-"""The public API: every exported name resolves."""
+"""The public API: every exported name resolves, and the modules layer without cycles."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -30,6 +31,62 @@ def test_package_exports_are_listed_in_module_all():
     for name in MODULES:
         listed.update(getattr(importlib.import_module(f"renyitail.{name}"), "__all__", ()))
     assert exported - listed == set()
+
+
+_SRC = pathlib.Path(renyitail.__file__).resolve().parent
+
+
+def _tree(name):
+    return ast.parse((_SRC / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def _package_imports(tree):
+    """(module, names) for each import of a package module under tree:
+    ``from .x import a, b`` gives ("x", ["a", "b"]), ``from . import x`` ("x", [])."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level and module.partition(".")[0] != "renyitail":
+                continue
+            module = module.removeprefix("renyitail").lstrip(".") if not node.level else module
+            if module:
+                found.append((module, [a.name for a in node.names]))
+            else:
+                found += [(a.name, []) for a in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(a.name.removeprefix("renyitail."), []) for a in node.names
+                      if a.name.startswith("renyitail.")]
+    return found
+
+
+def test_rand_models_imports_no_package_or_process_module():
+    tree = _tree("rand_models")
+    assert _package_imports(tree) == []
+    top = {a.name.partition(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+           for a in node.names}
+    top |= {node.module.partition(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and not node.level}
+    assert top.isdisjoint({"io", "os", "pickle", "signal", "zlib"}), top
+
+
+@pytest.mark.parametrize("name", ["renyi", "engine"])
+def test_module_builds_on_rand_models_alone(name):
+    assert {module for module, _ in _package_imports(_tree(name))} == {"rand_models"}
+
+
+def test_experiments_takes_only_the_tail_helpers_from_large_deviations():
+    names = {n for module, names in _package_imports(_tree("experiments"))
+             if module == "large_deviations" for n in names}
+    assert names <= {"_tail_rate", "_tail_results", "exact_hill_tail"}, names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_function_imports_a_package_module(name):
+    # a deferred import is how a cycle hides; scipy's deferred imports are fine
+    functions = [node for node in ast.walk(_tree(name))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert [imp for fn in functions for imp in _package_imports(fn)] == []
 
 
 _ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(renyitail.__file__))}

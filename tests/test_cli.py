@@ -15,7 +15,8 @@ import pytest
 
 import renyitail
 from renyitail.cli import _BLOCK_ROWS, _resolve_flags, _write_numeric_rows, build_parser, main
-from renyitail.rand_models import SeedSpec, draw, parse_spec
+from renyitail.engine import SeedSpec
+from renyitail.rand_models import draw, parse_spec
 from renyitail.renyi import heavy_sample
 
 _ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(renyitail.__file__))}
@@ -378,9 +379,9 @@ def test_figure_out_file(tmp_path, capsys):
 def test_figure_reports_a_worker_failure_exit_1(monkeypatch, capsys, failure, message):
     """A forked worker's failure that cannot be re-raised as itself is a
     one-line error with exit 1, not a traceback, and leaves no child."""
-    from renyitail import experiments, rand_models
+    from renyitail import engine, experiments
 
-    monkeypatch.setattr(rand_models, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     parent, real_draw = os.getpid(), experiments.draw
 
     def draw_failing_in_a_child(spec, rng, count):

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from renyitail import engine
 from renyitail import estimators as est
 from renyitail import experiments as ex
+from renyitail import large_deviations as ld
 from renyitail import rand_models as rm
 from renyitail.estimators import h_function
 from renyitail.large_deviations import exact_hill_tail
@@ -227,8 +229,8 @@ def _mixed_draws(rng):
 
 
 def _reference(fn, reps, seed, tag, start=0):
-    base = rm._stream_base(tag)
-    return np.asarray([fn(rm.SeedSpec(seed, base + i).generator())
+    base = engine._stream_base(tag)
+    return np.asarray([fn(engine.SeedSpec(seed, base + i).generator())
                        for i in range(start, start + reps)])
 
 
@@ -237,7 +239,7 @@ def test_stream_reuse_leaves_partial_buffers():
     re-key that skipped has_uint32 or buffer_pos would leak state."""
     ends = []
     for i in range(8):
-        rng = rm.SeedSpec(7, i).generator()
+        rng = engine.SeedSpec(7, i).generator()
         _mixed_draws(rng)
         ends.append(rng.bit_generator.state)
     assert any(st["has_uint32"] == 1 for st in ends)
@@ -284,10 +286,10 @@ def test_replication_map_range_checked_before_any_replication():
         calls.append(1)
         return rng.random()
 
-    room = 2**64 - rm._stream_base("tag/edge")  # streams left under this tag
+    room = 2**64 - engine._stream_base("tag/edge")  # streams left under this tag
     for kwargs in ({"master_seed": -1}, {"master_seed": 2**64},
                    {"master_seed": 7, "start": room - 4},
-                   {"master_seed": 7, "start": -rm._stream_base("tag/edge") - 1}):
+                   {"master_seed": 7, "start": -engine._stream_base("tag/edge") - 1}):
         with pytest.raises(ValueError, match="64 unsigned bits"):
             ex.replication_map(fn, 5, tag="tag/edge", **kwargs)
     assert calls == []
@@ -300,9 +302,9 @@ def test_replication_map_range_checked_before_any_replication():
 
 def test_replication_map_matches_fresh_philox_at_the_key_edges():
     """The plain-int re-key reaches the top of both 64-bit key words."""
-    room = 2**64 - rm._stream_base("tag/top")
+    room = 2**64 - engine._stream_base("tag/top")
     for seed, start in ((2**64 - 1, 0), (2**64 - 1, room - 6)):  # the latter ends at 2^64-1
-        base = rm._stream_base("tag/top") + start
+        base = engine._stream_base("tag/top") + start
         fresh = np.asarray([
             _mixed_draws(np.random.Generator(np.random.Philox(
                 key=np.array([seed, base + i], dtype=np.uint64))))
@@ -321,9 +323,9 @@ def test_seed_must_be_an_integer_in_64_bits(seed):
     with pytest.raises(ValueError, match="master_seed must"):
         ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), master_seed=seed)
     with pytest.raises(ValueError, match="master_seed must"):
-        rm.SeedSpec(seed)
+        engine.SeedSpec(seed)
     with pytest.raises(ValueError, match="stream_index must"):
-        rm.SeedSpec(7, seed)
+        engine.SeedSpec(7, seed)
     assert calls == []
 
 
@@ -346,7 +348,7 @@ def test_numpy_integer_seeds_act_as_ints(seed):
     fn = lambda rng: rng.random(2)
     assert np.array_equal(ex.replication_map(fn, 4, seed, "tag/np"),
                           ex.replication_map(fn, 4, 7, "tag/np"))
-    assert rm.SeedSpec(seed, np.uint64(3)) == rm.SeedSpec(7, 3)
+    assert engine.SeedSpec(seed, np.uint64(3)) == engine.SeedSpec(7, 3)
 
 
 def _pids(reps, workers):
@@ -359,20 +361,20 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here
 
 @needs_fork
 def test_replication_map_runs_spans_in_forked_children(monkeypatch):
-    monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     pids = _pids(10, workers=2)
     assert len(pids) == 2 and os.getpid() in pids
 
 
 @needs_fork
 def test_replication_map_caps_spans_at_cpus_and_reps(monkeypatch):
-    monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     assert len(_pids(200, workers=64)) <= 2
     assert _pids(1, workers=2) == {os.getpid()}
 
 
 def test_replication_map_runs_serially_without_fork(monkeypatch):
-    monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     monkeypatch.delattr(os, "fork", raising=False)
     assert _pids(10, workers=2) == {os.getpid()}
 
@@ -390,11 +392,11 @@ class _TwoArgError(Exception):
     ("parent", ValueError, "bad replication in span 1"),
     ("child-exit", RuntimeError, "exited without a result"),  # a ReplicationError
     ("child-fold", ValueError, "bad fold in span 2"),
-    ("child-unrebuildable", rm.ReplicationError, "raised _TwoArgError: x and y"),
-    ("child-unpicklable", rm.ReplicationError, "raised ValueError: <function"),
+    ("child-unrebuildable", engine.ReplicationError, "raised _TwoArgError: x and y"),
+    ("child-unpicklable", engine.ReplicationError, "raised ValueError: <function"),
 ])
 def test_replication_map_failure_reaps_every_child(monkeypatch, where, error, message):
-    monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     parent = os.getpid()
 
     def fn(rng):
@@ -439,18 +441,20 @@ def _fork_counter(monkeypatch):
 def test_replications_share_one_fork_across_jobs(monkeypatch):
     """Jobs of unequal size, some with fewer replications than spans, each
     give their replication_map result, from one fork per span after the first."""
-    monkeypatch.setattr(rm, "_usable_cpus", lambda: 3)
-    jobs = [rm._Job(_mixed_draws, 7, "tag/a"), rm._Job(_mixed_draws, 1, "tag/b", start=5),
-            rm._Job(_mixed_draws, 2, "tag/c", fold=_row_sums), rm._Job(_mixed_draws, 30, "tag/a", 7)]
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+    jobs = [engine._Job(_mixed_draws, 7, "tag/a"),
+            engine._Job(_mixed_draws, 1, "tag/b", start=5),
+            engine._Job(_mixed_draws, 2, "tag/c", fold=_row_sums),
+            engine._Job(_mixed_draws, 30, "tag/a", 7)]
     expected = [ex.replication_map(job.fn, job.reps, 7, job.tag, start=job.start, fold=job.fold)
                 for job in jobs]
     forks = _fork_counter(monkeypatch)
-    got = list(rm._replications(jobs, 7, workers=3))
+    got = list(engine._replications(jobs, 7, workers=3))
     assert len(forks) == 2
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert np.array_equal(a, b)
-    assert list(rm._replications([], 7, workers=3)) == [] and len(forks) == 2
+    assert list(engine._replications([], 7, workers=3)) == [] and len(forks) == 2
     with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
         os.waitpid(-1, os.WNOHANG)
 
@@ -462,7 +466,7 @@ def test_replications_failure_reaps_every_child(monkeypatch, where):
     child: fn or fold raising in a child during the second of three jobs, or
     the consumer raising after the first job while a child is still working,
     or blocked writing a part bigger than the pipe's buffer."""
-    monkeypatch.setattr(rm, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
     parent = os.getpid()
 
     def fn(tag, rng):
@@ -475,11 +479,11 @@ def test_replications_failure_reaps_every_child(monkeypatch, where):
             raise ValueError("bad fold in job 2")
         return block
 
-    jobs = [rm._Job(partial(fn, f"tag/{j}"), 300, f"tag/{j}", fold=partial(fold, f"tag/{j}"))
+    jobs = [engine._Job(partial(fn, f"tag/{j}"), 300, f"tag/{j}", fold=partial(fold, f"tag/{j}"))
             for j in (1, 2, 3)]
     seen = []
     with pytest.raises(ValueError, match="job 2" if where != "consumer" else "consumer"):
-        for result in rm._replications(jobs, 7, workers=3):
+        for result in engine._replications(jobs, 7, workers=3):
             seen.append(len(result))
             if where == "consumer":
                 raise ValueError("consumer failed between jobs")
@@ -515,7 +519,7 @@ def _one_fork_runs():
 def test_every_experiment_forks_once_per_run(monkeypatch, cfg, spans, cpus, workers):
     """A run forks one process per span after the first, for all its laws,
     k values and sizes, reaps them all, and writes the one-worker bytes."""
-    monkeypatch.setattr(rm, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
     expected = ex.run_experiment(cfg, workers=1).to_csv()
     forks = _fork_counter(monkeypatch)
     got = ex.run_experiment(cfg, workers=workers).to_csv()
@@ -538,7 +542,7 @@ def test_one_fork_run_holds_one_law_at_a_time(monkeypatch):
     desk size its peak stays within 1 MB of a run made one law at a time."""
     import tracemalloc
 
-    monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     cfg = ex.ExperimentConfig(experiment="variance_curve", specs=THREE_LAWS, n=1000, reps=1000)
 
     def peak_mb():
@@ -567,15 +571,15 @@ def test_replication_map_fold_is_fold_of_the_stack(monkeypatch, fold):
     """Over two full blocks and a part one, the stacked blocks are the fresh
     streams, and fold=f gives f of them at any worker count and for a range
     split at a block edge or inside a block."""
-    monkeypatch.setattr(rm, "_usable_cpus", lambda: 3)
-    reps = 2 * rm._BLOCK + 5
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 3)
+    reps = 2 * engine._BLOCK + 5
     stacked = ex.replication_map(_mixed_draws, reps, 7, "tag/fold")
     assert np.array_equal(stacked, _reference(_mixed_draws, reps, 7, "tag/fold"))
     expected = fold(stacked)
     for workers in (1, 2, 3):
         got = ex.replication_map(_mixed_draws, reps, 7, "tag/fold", workers=workers, fold=fold)
         assert np.array_equal(got, expected), workers
-    for at in (1, rm._BLOCK - 1, rm._BLOCK, rm._BLOCK + 700):
+    for at in (1, engine._BLOCK - 1, engine._BLOCK, engine._BLOCK + 700):
         head = ex.replication_map(_mixed_draws, at, 7, "tag/fold", workers=2, fold=fold)
         tail = ex.replication_map(_mixed_draws, reps - at, 7, "tag/fold", workers=3,
                                   start=at, fold=fold)
@@ -586,7 +590,7 @@ def test_replication_map_fold_is_fold_of_the_stack(monkeypatch, fold):
 @pytest.mark.parametrize("fold", [lambda block: block[1:], np.sum, lambda block: 0.0],
                          ids=["short", "scalar", "float"])
 def test_replication_map_fold_must_keep_one_entry_per_row(monkeypatch, fold, workers):
-    monkeypatch.setattr(rm, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     with pytest.raises(ValueError, match="fold returned shape"):
         ex.replication_map(lambda rng: rng.random(2), 10, 7, "tag/rows", workers=workers, fold=fold)
 
@@ -756,6 +760,25 @@ def test_ld_check_columns_and_oracles():
     assert rows[200]["insufficient"] == 1 and rows[200]["mc"] is None
     assert rows[5]["insufficient"] == 0
     assert rows[5]["mc"] == pytest.approx(rows[5]["exact"], abs=4.0 * rows[5]["mc_se"])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ld_check_rows_are_mc_tail_logprob(monkeypatch, workers):
+    """Each ld row's Monte Carlo cells are mc_tail_logprob's result for its k,
+    declined k values included (here 3 of the desk grid's 7 run)."""
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    cfg = ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), y=1.5,
+                              reps=4000, master_seed=11)
+    table = ex.run_ld_check(cfg, workers=workers)
+    spec, seed = rm.exponential(1.0), engine.SeedSpec(11)
+    declined = 0
+    for k, mc, mc_se, events, insufficient, *_ in table.rows:
+        res = ld.mc_tail_logprob(spec, k, 1.5, 4000, seed)
+        assert (mc, mc_se, events, insufficient) == (
+            res.estimate, res.std_error, res.events, int(res.insufficient)), k
+        declined += res.insufficient
+    assert [row[0] for row in table.rows] == [5, 10, 20, 50, 100, 200, 400]
+    assert declined == 4
 
 
 def test_ld_check_requires_single_spacing_law():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from renyitail import engine
 from renyitail import large_deviations as ld
 from renyitail import rand_models as rm
 
@@ -174,6 +175,13 @@ def test_gamma_family_rates_domain():
         ld.gamma_family_rates(0.0, 0.5)
 
 
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_gamma_family_rates_rejects_non_finite_r(r):
+    # unchecked, r = inf makes both rates inf - inf = nan
+    with pytest.raises(ValueError, match="r must be positive and finite"):
+        ld.gamma_family_rates(r, 0.5)
+
+
 def test_iid_rates_are_the_r1_member():
     for c in (0.1, 0.5, 0.9):
         assert ld.iid_comparison_rates(c) == ld.gamma_family_rates(1.0, c)
@@ -223,9 +231,22 @@ def test_log_gammaincc_rejects_nan():
         ld.log_gammaincc(2.0, math.nan)
 
 
+def test_log_gammaincc_rejects_infinite_shape():
+    # unchecked, a = inf sums a series of zeros and fails in math.log(0), a bare "math domain error"
+    with pytest.raises(ValueError, match="shape a must be positive and finite"):
+        ld.log_gammaincc(math.inf, 3.0)
+
+
 def test_exact_hill_tail_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         ld.exact_hill_tail(rm.exponential(1.0), 5, math.nan)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0])
+def test_exact_hill_tail_rejects_non_integer_k(k):
+    # there is no Hill estimator at k = 2.5, so there is no tail to return
+    with pytest.raises(ValueError, match="k must be an integer"):
+        ld.exact_hill_tail(rm.exponential(1.0), k, 1.5)
 
 
 def test_exact_hill_tail_infinite_threshold():
@@ -260,7 +281,7 @@ def _irwin_hall_sf(n: int, x: int) -> float:
 
 
 def test_mc_tail_sure_event():
-    res = ld.mc_tail_logprob(rm.uniform(0.5), 10, -1.0, 2000, rm.SeedSpec(3))
+    res = ld.mc_tail_logprob(rm.uniform(0.5), 10, -1.0, 2000, engine.SeedSpec(3))
     assert res.estimate == 0.0
     assert res.events == res.reps == 2000
     assert not res.insufficient
@@ -268,7 +289,7 @@ def test_mc_tail_sure_event():
 
 def test_mc_tail_insufficient_guard_before_sampling():
     # exponential gamma=1 at y=2, k=200: expected events ~ reps * e^{-61}
-    res = ld.mc_tail_logprob(rm.exponential(1.0), 200, 2.0, 10**4, rm.SeedSpec(3))
+    res = ld.mc_tail_logprob(rm.exponential(1.0), 200, 2.0, 10**4, engine.SeedSpec(3))
     assert res.insufficient
     assert res.estimate is None
     assert res.std_error is None
@@ -276,19 +297,19 @@ def test_mc_tail_insufficient_guard_before_sampling():
 
 def test_mc_tail_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
-        ld.mc_tail_logprob(rm.exponential(1.0), 10, math.nan, 2000, rm.SeedSpec(3))
+        ld.mc_tail_logprob(rm.exponential(1.0), 10, math.nan, 2000, engine.SeedSpec(3))
 
 
 @pytest.mark.parametrize("k, reps", [(5.5, 2000), (5.0, 2000), (10, 1.5), (10, 2000.0)])
 def test_mc_tail_counts_must_be_integers(k, reps):
     with pytest.raises(ValueError, match="must be an integer"):
-        ld.mc_tail_logprob(rm.uniform(0.5), k, 0.6, reps, rm.SeedSpec(3))
+        ld.mc_tail_logprob(rm.uniform(0.5), k, 0.6, reps, engine.SeedSpec(3))
 
 
 def test_mc_tail_uniform_against_exact_enumeration():
     # mean of 20 uniforms above 0.6 <=> their sum of 20 above 12
     k, y, reps = 20, 0.6, 10**5
-    res = ld.mc_tail_logprob(rm.uniform(0.5), k, y, reps, rm.SeedSpec(5))
+    res = ld.mc_tail_logprob(rm.uniform(0.5), k, y, reps, engine.SeedSpec(5))
     assert not res.insufficient
     exact = math.log(_irwin_hall_sf(20, 12)) / k
     assert res.estimate == pytest.approx(exact, abs=4.0 * res.std_error)
@@ -298,7 +319,7 @@ def test_mc_tail_approaches_rate_function():
     # by k = 100 the normalized log-frequency sits within 0.05 of -I(y)
     k, y, reps = 100, 0.6, 4 * 10**5
     spec = rm.uniform(0.5)
-    res = ld.mc_tail_logprob(spec, k, y, reps, rm.SeedSpec(6))
+    res = ld.mc_tail_logprob(spec, k, y, reps, engine.SeedSpec(6))
     assert not res.insufficient
     assert abs(res.estimate - (-ld.rate_function(spec, y))) <= 0.05
     # and the exact enumeration agrees with the Monte Carlo value
@@ -313,7 +334,7 @@ def test_mc_tail_sum_over_k_is_the_mean(law, stream):
     """numpy's z.mean() is np.add.reduce(z) divided by the count, the quantity
     mc_tail_logprob's fold takes from each row of a block; this pins it per
     draw for every k up to 400 (the row form is pinned below)."""
-    spec, rng = rm.parse_spec(law), rm.SeedSpec(13, stream).generator()
+    spec, rng = rm.parse_spec(law), engine.SeedSpec(13, stream).generator()
     for k in range(1, 401):
         z = rm.draw(spec, rng, k)
         assert float(np.add.reduce(z)) / k == z.mean()
@@ -328,11 +349,11 @@ def test_mc_tail_fold_matches_per_replication_mean(law):
     """The row reduce of a stacked block gives each row's .mean() bit for bit,
     and mc_tail_logprob's events are the fresh-stream count of .mean() >= y.
     y is the law's mean, so about half the rows hit and no rate cuts the run."""
-    spec, seed, reps = rm.parse_spec(law), rm.SeedSpec(19, 4), 300
+    spec, seed, reps = rm.parse_spec(law), engine.SeedSpec(19, 4), 300
     y = spec.mean
     for k in _PAIRWISE_EDGES:
-        base = rm._stream_base(f"mc_tail/{spec.canonical()}/k={k}/y={y!r}/s=4")
-        block = np.asarray([rm.draw(spec, rm.SeedSpec(19, base + i).generator(), k)
+        base = engine._stream_base(f"mc_tail/{spec.canonical()}/k={k}/y={y!r}/s=4")
+        block = np.asarray([rm.draw(spec, engine.SeedSpec(19, base + i).generator(), k)
                             for i in range(reps)])
         means = np.array([row.mean() for row in block])
         assert np.array_equal(np.add.reduce(block, axis=1) / k, means), k
@@ -344,7 +365,7 @@ def test_mc_tail_memory_stays_flat():
     would take 40 MB, a block of them 0.4 MB."""
     tracemalloc.start()
     try:
-        result = ld.mc_tail_logprob(rm.exponential(1.0), 50, 1.01, 100_000, rm.SeedSpec(3))
+        result = ld.mc_tail_logprob(rm.exponential(1.0), 50, 1.01, 100_000, engine.SeedSpec(3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -359,9 +380,9 @@ def test_mc_tail_events_match_mean_rule_on_fresh_streams(law, y, k):
     streams.  k >= 8 is where numpy's pairwise sum unrolls, and bern puts
     some means exactly on y = 0.6, so a rule that rounded differently from
     .mean() would miscount."""
-    spec, seed, reps = rm.parse_spec(law), rm.SeedSpec(17, 3), 3000
-    base = rm._stream_base(f"mc_tail/{spec.canonical()}/k={k}/y={y!r}/s=3")
-    expected = sum(rm.draw(spec, rm.SeedSpec(17, base + i).generator(), k).mean() >= y
+    spec, seed, reps = rm.parse_spec(law), engine.SeedSpec(17, 3), 3000
+    base = engine._stream_base(f"mc_tail/{spec.canonical()}/k={k}/y={y!r}/s=3")
+    expected = sum(rm.draw(spec, engine.SeedSpec(17, base + i).generator(), k).mean() >= y
                    for i in range(reps))
     assert 0 < expected < reps
     for workers in (1, 2):
@@ -369,6 +390,6 @@ def test_mc_tail_events_match_mean_rule_on_fresh_streams(law, y, k):
 
 
 def test_mc_tail_deterministic_across_workers():
-    a = ld.mc_tail_logprob(rm.uniform(0.5), 20, 0.6, 20000, rm.SeedSpec(7), workers=1)
-    b = ld.mc_tail_logprob(rm.uniform(0.5), 20, 0.6, 20000, rm.SeedSpec(7), workers=4)
+    a = ld.mc_tail_logprob(rm.uniform(0.5), 20, 0.6, 20000, engine.SeedSpec(7), workers=1)
+    b = ld.mc_tail_logprob(rm.uniform(0.5), 20, 0.6, 20000, engine.SeedSpec(7), workers=4)
     assert a == b
