@@ -157,9 +157,10 @@ def _checked(job: _Job) -> _Job:
 
 
 def _replications(jobs, master_seed: int, workers: int):
-    """Yield each job's results, as ``replication_map`` stacks them, in job order.
+    """A generator of each job's results, as ``replication_map`` stacks them, in job order.
 
-    Every job is checked before any replication runs.  The jobs share one
+    Every job and ``workers`` are checked by this call, before any
+    replication runs or any process forks.  The jobs share one
     set of spans, as many as the smallest of ``workers``, the largest job's
     ``reps`` and the CPUs this process may use, and one without ``os.fork``;
     span s of a job is the s-th of its contiguous cuts, which is empty when
@@ -175,9 +176,16 @@ def _replications(jobs, master_seed: int, workers: int):
     """
     jobs = [_checked(job) for job in jobs]
     workers = _index(workers, "workers")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     master_seed = SeedSpec(master_seed).master_seed  # a plain int in 0..2**64-1
     longest = max((job.reps for job in jobs), default=1)
-    spans = max(1, min(workers, longest, _usable_cpus())) if hasattr(os, "fork") else 1
+    spans = min(workers, longest, _usable_cpus()) if hasattr(os, "fork") else 1
+    return _results(jobs, master_seed, spans)
+
+
+def _results(jobs, master_seed: int, spans: int):
+    """The generator ``_replications`` returns, for checked jobs over ``spans`` spans."""
     # exact for a huge start; cut[s]..cut[s+1] is span s of the job
     cuts = [[job.start + job.reps * s // spans for s in range(spans + 1)] for job in jobs]
 

@@ -275,7 +275,7 @@ def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     # checked once here, not per replication: the spacing variance needs k >= 2
     ks, kmax = estimators._check_k(n, k_grid, minimum=2)
     idx, ksf = ks - 1, ks.astype(np.float64)
-    unit = estimators.half_width(1.0, ks, cfg.eps)  # before the fork: loads scipy.special once
+    unit = estimators.half_width(1.0, ks, cfg.eps)
 
     def one_rep(spec, rng):
         zhat = _heavy_for(spec, rng, n).zhat

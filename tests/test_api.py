@@ -110,8 +110,8 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # scipy.special doubles start-up; half_width, h_minimizer and the gamma-law
-    # quantile load it on first use
+    # scipy.special doubles start-up; only h_minimizer and the gamma-law quantile
+    # load it, on first use
     assert not _loaded_by_import("scipy.special")
 
 
@@ -120,7 +120,11 @@ def test_import_leaves_scipy_special_unloaded():
     ("simulate", "--spec", "exp:gamma=1", "--n", "50"),
     ("fit", "DATA", "--family", "exponential", "--c", "1"),
     ("estimate", "DATA", "--interval", "none", "--c", "1"),
+    ("estimate", "DATA", "--c", "1"),
+    ("estimate", "DATA", "--interval", "self", "--c", "1"),
+    ("estimate", "DATA", "--method", "quantile", "--c", "1"),
     ("figure", "--id", "ld", "--reps", "50"),
+    ("figure", "--id", "3", "--n", "50", "--reps", "20"),
 ], ids=" ".join)
 def test_command_leaves_scipy_special_unloaded(argv, tmp_path):
     data = tmp_path / "w.txt"

@@ -284,13 +284,42 @@ def test_ci_hill_self_matches_when_sigma_equals_gamma():
 def test_ci_quantile_half_width():
     scale = 0.3 * math.sqrt(est.h_function(0.5))
     half = 0.3 * math.sqrt(est.h_function(0.5)) * special.ndtri(0.95) / 20.0
-    assert est.half_width(scale, 400, 0.1) == pytest.approx(half, rel=1e-12)
+    assert est.half_width(scale, 400, 0.1) == half
 
 
 def test_ci_eps_domain():
     for bad in (0.0, 1.0, 1.2):
         with pytest.raises(ValueError):
             est.half_width(0.5, 10, bad)
+
+
+@pytest.mark.parametrize("scale, m", [
+    (0.5, 0), (0.5, -4), (0.5, math.nan), (0.5, np.array([10, 0])),
+    (math.nan, 10), (math.inf, 10), (-0.1, 10), (np.array([0.5, math.nan]), np.array([3, 4])),
+], ids=repr)
+def test_ci_scale_and_m_domain(scale, m):
+    with pytest.raises(ValueError, match="scale must|m must"):
+        est.half_width(scale, m, 0.1)
+
+
+def test_ndtri_equals_scipy_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    tiny = 10.0 ** -rng.uniform(1.0, 16.0, 5000)  # x >= 8 once y is within 1e-14 of 0 or 1
+    grid = np.concatenate([
+        rng.random(20000),  # mostly the central branch, |y - 1/2| <= 1/2 - exp(-2)
+        10.0 ** -rng.uniform(0.0, 300.0, 5000), tiny, 1.0 - tiny,  # both tails, 2 <= x < 8 and x >= 8
+        np.linspace(0.0, 1.0, 10001),
+        # 1 - eps/2 for the default eps and every eps the figures and tests use
+        1.0 - np.array([0.1, 0.05, 0.01, 0.001, 0.2, 0.3, 0.5, 0.9, 0.999, 1e-6]) / 2.0,
+    ])
+    want = special.ndtri(grid)
+    got = np.array([est._ndtri(float(y)) for y in grid])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # every branch is reached, by x = sqrt(-2 log min(y, 1 - y)), which picks it
+    inner = grid[(0.0 < grid) & (grid < 1.0)]
+    x = np.sqrt(-2.0 * np.log(np.minimum(inner, 1.0 - inner)))
+    assert (x < 2.0).any() and ((2.0 <= x) & (x < 8.0)).any()
+    assert (x[inner < 0.5] >= 8.0).any() and (x[inner > 0.5] >= 8.0).any()
 
 
 def test_ml_uniform_hand_value():

@@ -339,6 +339,22 @@ def test_replication_map_counts_must_be_integers(name, value):
     assert calls == []
 
 
+@pytest.mark.parametrize("workers", [0, -5])
+def test_workers_below_one_are_rejected(workers, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked before checking workers")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    calls = []
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        ex.replication_map(calls.append, 3, 7, "t", workers=workers)
+    # at 20 reps every k is declined, so no job runs, yet workers is still checked
+    cfg = ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), reps=20, y=1.5)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        ex.run_experiment(cfg, workers=workers)
+    assert calls == []
+
+
 @pytest.mark.parametrize("seed", [np.uint64(7), np.int64(7), 7], ids=repr)
 def test_numpy_integer_seeds_act_as_ints(seed):
     cfg = ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), master_seed=seed)
