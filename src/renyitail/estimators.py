@@ -52,17 +52,25 @@ def hill(h: HeavySample, k):
     call bit for bit.
     """
     ks, kmax = _check_k(h.n, k)
-    gamma_hat = _hill(h.zhat, ks - 1, ks, kmax)
+    gamma_hat, _ = _hill_sigma(h.zhat, ks - 1, ks, kmax)
     return float(gamma_hat) if ks.ndim == 0 else gamma_hat
 
 
-def _hill(zhat: np.ndarray, idx, ks, kmax: int):
-    """hill's formula on checked input: idx = k - 1, ks = k, kmax = max k.
+def _top(zhat: np.ndarray, k: int) -> np.ndarray:
+    """The top-k block: the scaled log-spacings of the k largest values, from the top down."""
+    return zhat[::-1][:k]
 
-    ks may be int or float64: the divisions convert an int k exactly, so the
-    bits are the same, and a float64 ks spares a caller that loops that conversion.
+
+def _hill_sigma(zhat: np.ndarray, idx, ks, kmax: int):
+    """(hill, spacing_sigma) on checked input, idx = k - 1, ks = k (int or float64,
+    same bits), kmax = max k: from running sums c1 = sum z, c2 = sum z^2 over the
+    top-k block, c1/k and sqrt((c2 - c1*c1/k)/(k-1)) clipped at 0 (0 at k = 1).
+    c1*c1, not c1**2: numpy squares a 0-d scalar and an array element differently.
     """
-    return np.cumsum(zhat[::-1][:kmax])[idx] / ks
+    top = _top(zhat, kmax)
+    c1 = np.cumsum(top)[idx]
+    c2 = np.cumsum(top * top)[idx]
+    return c1 / ks, np.sqrt(np.maximum((c2 - c1 * c1 / ks) / np.maximum(ks - 1.0, 1.0), 0.0))
 
 
 def hill_trajectory(h: HeavySample) -> np.ndarray:
@@ -95,8 +103,11 @@ def quantile_estimator(x, s):
 
     ``s`` is a level in (0, 1) (a float is returned) or a nonempty 1-d grid of
     levels (one estimate per entry, each equal to the scalar call bit for bit).
+    ``x`` must be 1-d and finite.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or not np.all(np.isfinite(x)):
+        raise ValueError("x must be a 1-d array of finite values")
     idx, denom = _quantile_terms(len(x), s)
     gamma_tilde = x[idx] / denom
     return float(gamma_tilde) if idx.ndim == 0 else gamma_tilde
@@ -122,24 +133,15 @@ def h_minimizer() -> tuple[float, float]:
 
 
 def spacing_sigma(h: HeavySample, k):
-    """Empirical standard deviation of the first k scaled log-spacings (1/(k-1) divisor).
+    """Empirical standard deviation (1/(k-1) divisor) of the top-k scaled
+    log-spacings, the same k that hill averages.
 
-    ``k`` is an int >= 2 (a float is returned) or a nonempty 1-d integer array of them.
-    One pass of running sums c1 = sum z, c2 = sum z^2 serves every k:
-    var = (c2 - c1*c1/k)/(k-1), clipped at 0 against roundoff.  c1*c1 rather than
-    c1**2: numpy squares a 0-d scalar and an array element differently in the last bit.
+    ``k`` is an int >= 2 (a float is returned) or a nonempty 1-d integer array
+    of them; like hill, a grid costs one pass and each entry equals the scalar call.
     """
     ks, kmax = _check_k(h.n, k, minimum=2)
-    sigma = _spacing_sigma(h.zhat, ks - 1, ks, kmax)
+    _, sigma = _hill_sigma(h.zhat, ks - 1, ks, kmax)
     return float(sigma) if ks.ndim == 0 else sigma
-
-
-def _spacing_sigma(zhat: np.ndarray, idx, ks, kmax: int):
-    """spacing_sigma's formula on checked input, with the arguments of ``_hill``."""
-    zhat = zhat[:kmax]
-    c1 = np.cumsum(zhat)[idx]
-    c2 = np.cumsum(zhat * zhat)[idx]
-    return np.sqrt(np.maximum((c2 - c1 * c1 / ks) / (ks - 1.0), 0.0))
 
 
 def ml_uniform(h: HeavySample, k: int) -> float:
@@ -149,7 +151,7 @@ def ml_uniform(h: HeavySample, k: int) -> float:
     ks, _ = _check_k(h.n, k)
     if ks.ndim:  # the slice below needs one k
         raise ValueError(f"k must be an integer, got {k!r}")
-    return 0.5 * float(np.max(h.zhat[h.n - int(ks):]))
+    return 0.5 * float(np.max(_top(h.zhat, int(ks))))
 
 
 def half_width(scale, m, eps: float):

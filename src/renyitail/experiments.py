@@ -217,11 +217,17 @@ def _require_spacing_laws(cfg: ExperimentConfig) -> None:
         raise ValueError(f"{cfg.experiment} requires spacing laws")
 
 
+def _require_two_reps(cfg: ExperimentConfig) -> None:
+    if cfg.reps < 2:  # one replication has no sample variance or correlation
+        raise ValueError(f"{cfg.experiment} needs at least 2 replications, got {cfg.reps}")
+
+
 def run_variance_curve(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     """Empirical variance of sqrt(n)(gamma_tilde(s) - gamma)/sd(Z) over the
     s grid, one column per spacing law, next to the theoretical h(s).
     """
     _require_spacing_laws(cfg)
+    _require_two_reps(cfg)
     s_grid = cfg.s_grid if cfg.s_grid is not None else default_s_grid()
     cfg = replace(cfg, s_grid=s_grid)
     n = cfg.n
@@ -232,19 +238,12 @@ def run_variance_curve(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
         x = np.cumsum(draw(spec, rng, n) * weights)
         return x[idx] / denom
 
-    degenerate = cfg.reps < 2
     cols = [[estimators.h_function(s) for s in s_grid]]
     for spec, vals in _per_law(cfg, one_rep, workers):
         scaled = math.sqrt(n) * (vals - spec.gamma) / math.sqrt(spec.variance)
-        if degenerate:
-            cols.append(np.zeros(len(s_grid)))
-        else:
-            cols.append(np.var(scaled, axis=0, ddof=1))
+        cols.append(np.var(scaled, axis=0, ddof=1))
     columns = ["s", "h"] + [s.canonical() for s in cfg.specs]
-    meta = _meta(cfg)
-    if degenerate:
-        meta["degenerate_variance"] = True
-    return ReportTable(columns, _rows(s_grid, cols), meta)
+    return ReportTable(columns, _rows(s_grid, cols), _meta(cfg))
 
 
 def run_hill_plot(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
@@ -278,9 +277,7 @@ def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     unit = estimators.half_width(1.0, ks, cfg.eps)
 
     def one_rep(spec, rng):
-        zhat = _heavy_for(spec, rng, n).zhat
-        gh = estimators._hill(zhat, idx, ksf, kmax)
-        sig = estimators._spacing_sigma(zhat, idx, ksf, kmax)
+        gh, sig = estimators._hill_sigma(_heavy_for(spec, rng, n).zhat, idx, ksf, kmax)
         dev = np.abs(gh - spec.gamma)
         return np.concatenate([(dev <= sig * unit), (dev <= gh * unit)])
 
@@ -305,6 +302,7 @@ def run_exponential_limit(cfg: ExperimentConfig, workers: int = 1) -> ReportTabl
     from scipy import stats
 
     _require_spacing_laws(cfg)
+    _require_two_reps(cfg)
     n_grid = cfg.n_grid if cfg.n_grid is not None else default_n_grid()
     cfg = replace(cfg, n_grid=n_grid)
     exact = {spec: cross_moment_recursion(spec, max(n_grid)) for spec in cfg.specs}

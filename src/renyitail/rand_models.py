@@ -212,9 +212,9 @@ def quantile(spec: DistributionSpec, u):
 
 def moment(spec: DistributionSpec, k: int) -> float:
     """Exact k-th raw moment; returns math.inf when the moment diverges."""
-    if k < 1 or k != int(k):
-        raise ValueError("moment order must be a positive integer")
-    k = int(k)
+    k = _index(k, "moment order")
+    if k < 1:
+        raise ValueError("moment order must be positive")
     g = spec.gamma
     if spec.kind == "exp":
         return math.factorial(k) * g**k

@@ -302,6 +302,15 @@ def test_k_out_of_range_exit_1(argv, text, message, tmp_path, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize("figure_id, experiment", [("1", "variance_curve"), ("t1", "exp_limit")])
+def test_figure_one_rep_exit_1(figure_id, experiment, capsys):
+    # figure 1's variances and t1's correlations need two replications
+    code, out, err = _run(capsys, "figure", "--id", figure_id, "--reps", "1")
+    assert code == 1
+    assert out == ""
+    assert err == f"renyitail: error: {experiment} needs at least 2 replications, got 1\n"
+
+
 @pytest.mark.parametrize("flags, values", [
     (("--spec", "exp:gamma=400"), "C = 1, x_n = 775.585"),
     (("--spec", "exp:gamma=1", "--c", "1e308"), "C = 1e+308, x_n = 1.93896"),

@@ -625,13 +625,15 @@ def test_variance_curve_values():
             assert abs(v - h) <= 0.10 * h
 
 
-def test_variance_curve_single_rep_degenerate():
-    cfg = ex.ExperimentConfig(
-        experiment="variance_curve", specs=("unif:gamma=0.5",), n=50, reps=1,
-        master_seed=5, s_grid=(0.5,))
-    table = ex.run_variance_curve(cfg)
-    assert table.rows[0][2] == 0.0
-    assert table.meta["degenerate_variance"] is True
+@pytest.mark.parametrize("experiment", ["variance_curve", "exp_limit"])
+def test_variance_runs_reject_a_single_rep(monkeypatch, experiment):
+    # one replication has no sample variance (figure 1) or correlation (t1):
+    # the run refuses it before it forks
+    monkeypatch.setattr(ex, "_replications", None)  # a fork attempt would raise TypeError
+    cfg = ex.ExperimentConfig(experiment=experiment, specs=("unif:gamma=0.5",), n=50, reps=1,
+                              master_seed=5, s_grid=(0.5,), n_grid=(50,))
+    with pytest.raises(ValueError, match="at least 2 replications"):
+        ex.run_experiment(cfg, workers=2)
 
 
 def test_variance_curve_ratio_over_grid():
@@ -691,6 +693,16 @@ def test_coverage_iid_pareto_interval_methods_agree():
     assert abs(row[1] - row[2]) < 0.02
 
 
+def test_coverage_hall_spacing_interval_at_small_k():
+    # hall is off the model, but at k << n its top spacings follow it, so the
+    # spacing interval holds its level there when sigma_hat is read off the
+    # same top k as the Hill estimate
+    cfg = ex.ExperimentConfig(experiment="coverage", specs=("hall",), n=2000, reps=400,
+                              master_seed=7, k_grid=(20, 50))
+    for cov in ex.run_coverage(cfg).column("hall_spacing"):
+        assert cov >= 0.75
+
+
 def test_coverage_rejects_k_below_two():
     with pytest.raises(ValueError):
         ex.run_coverage(ex.ExperimentConfig(
@@ -713,9 +725,9 @@ def test_coverage_kernels_match_public_estimators(workers):
     def reference(spec, rng):
         h = ex._heavy_for(spec, rng, n)
         gh, sig = est.hill(h, ks), est.spacing_sigma(h, ks)
-        kernel_args = (ks - 1, ks.astype(np.float64), n)
-        assert np.array_equal(est._hill(h.zhat, *kernel_args), gh)
-        assert np.array_equal(est._spacing_sigma(h.zhat, *kernel_args), sig)
+        kernel_gh, kernel_sig = est._hill_sigma(h.zhat, ks - 1, ks.astype(np.float64), n)
+        assert np.array_equal(kernel_gh, gh)
+        assert np.array_equal(kernel_sig, sig)
         assert [est.hill(h, int(k)) for k in ks] == gh.tolist()
         assert [est.spacing_sigma(h, int(k)) for k in ks] == sig.tolist()
         dev = np.abs(gh - spec.gamma)

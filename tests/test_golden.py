@@ -24,7 +24,7 @@ GOLDEN = {
     ("figure", "--id", "2"):
         "ea5c45f987e3735600fd59b438324b7cc86cd0e11ce45d312390b724b7586a83",
     ("figure", "--id", "3"):
-        "6371dac6b8ed4252844d23e0c5baa70e2cb52657987f9125bb3573ed4e8bf0b2",
+        "02e2a3714b0963a2e891e2c0f83397956b1066bdc4de7b9a3bb75dd392fa732e",
     ("figure", "--id", "t1", "--reps", "2000"):
         "d82b70ab9150e1631cbddc8bda5e4cadad466b1920bee512c51f769b747ae4dd",
     ("figure", "--id", "ld", "--reps", "20000"):
@@ -34,7 +34,7 @@ GOLDEN = {
     ("simulate", "--spec", "exp:gamma=0.5", "--n", "1000", "--seed", "11", "--format", "json"):
         "793fbe4f708e8550dc86053f6649fafd424b0c40046c6d8db7671dc1dd203d61",
     ("figure", "--id", "3", "--format", "json"):
-        "9dc22d0585295c930632f70cf677c5c8d1b6f0b68a43d15b383ec76519870523",
+        "cdd5517c6ae8dfbff0aecd738877f2609fbc289f322c64919e33848637b22a04",
 }
 
 

@@ -116,6 +116,15 @@ def test_uniform_second_moment():
     assert rm.moment(rm.uniform(0.5), 2) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
 
+def test_moment_order_domain():
+    # the order goes through rand_models._index: 2.0 is rejected, not truncated
+    spec = rm.uniform(0.5)
+    for bad in (0, -1, 2.0, 1.5, "2"):
+        with pytest.raises(ValueError, match="moment order"):
+            rm.moment(spec, bad)
+    assert rm.moment(spec, np.int64(2)) == rm.moment(spec, 2)
+
+
 def test_first_moment_is_gamma_everywhere():
     for spec in (rm.exponential(0.7), rm.uniform(0.7), rm.bernoulli(0.7),
                  rm.gamma_law(3.0, 0.7)):
