@@ -23,7 +23,7 @@ from . import estimators
 from .engine import SeedSpec, _Job, _replications, replication_map
 from .large_deviations import _tail_rate, _tail_results, exact_hill_tail
 from .rand_models import DistributionSpec, _index, draw, parse_spec, support
-from .renyi import HeavySample, _descending, cross_moment_recursion, heavy_sample
+from .renyi import HeavySample, cross_moment_recursion, generalized_renyi, heavy_sample
 
 __all__ = [
     "DEFAULT_SEED",
@@ -232,11 +232,9 @@ def run_variance_curve(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     cfg = replace(cfg, s_grid=s_grid)
     n = cfg.n
     idx, denom = estimators._quantile_terms(n, s_grid)
-    weights = 1.0 / _descending(n)
 
     def one_rep(spec, rng):
-        x = np.cumsum(draw(spec, rng, n) * weights)
-        return x[idx] / denom
+        return generalized_renyi(draw(spec, rng, n))[idx] / denom
 
     cols = [[estimators.h_function(s) for s in s_grid]]
     for spec, vals in _per_law(cfg, one_rep, workers):
@@ -311,8 +309,8 @@ def run_exponential_limit(cfg: ExperimentConfig, workers: int = 1) -> ReportTabl
         tagc = spec.canonical()
         columns += [f"{tagc}_ks", f"{tagc}_corr", f"{tagc}_m11", f"{tagc}_m11_exact"]
 
-    def one_rep(m, weights, spec, rng):
-        x = np.cumsum(draw(spec, rng, m) * weights)
+    def one_rep(m, spec, rng):
+        x = generalized_renyi(draw(spec, rng, m))
         i = int(rng.integers(m))
         j = int(rng.integers(m - 1))
         if j >= i:
@@ -321,7 +319,7 @@ def run_exponential_limit(cfg: ExperimentConfig, workers: int = 1) -> ReportTabl
 
     # one job per (n, law), n-major, so the run forks its worker processes once
     jobs = [job for m in n_grid
-            for job in _law_jobs(cfg, partial(one_rep, m, 1.0 / _descending(m)), f"/n={m}")]
+            for job in _law_jobs(cfg, partial(one_rep, m), f"/n={m}")]
     rows = []
     with closing(_replications(jobs, cfg.master_seed, workers)) as results:
         for m in n_grid:

@@ -133,7 +133,10 @@ def log_gammaincc(a: float, x: float) -> float:
     the tail.
 
     Continued fraction (modified Lentz) for x > a+1, series for the lower
-    function otherwise; relative accuracy in the log around 1e-13.
+    function otherwise.  The log prefactor -x + a log x - lgamma(a) cancels,
+    so its absolute error grows like a log(a) 2^-53 (about 1e-8 at a = 1e7).
+    Near x = a the step count grows like sqrt(a); a loop that reaches its
+    cap raises ValueError rather than return an unconverged value.
     """
     if not 0.0 < a < math.inf:
         raise ValueError("shape a must be positive and finite")
@@ -164,6 +167,8 @@ def log_gammaincc(a: float, x: float) -> float:
             f *= delta
             if abs(delta - 1.0) < 1e-16:
                 break
+        else:
+            raise ValueError(f"continued fraction did not converge at a = {a!r}, x = {x!r}")
         return log_prefactor + math.log(f)
     # series for P(a, x); Q = 1 - P is not small on this branch
     term = 1.0 / a
@@ -173,6 +178,8 @@ def log_gammaincc(a: float, x: float) -> float:
         total += term
         if term < total * 1e-17:
             break
+    else:
+        raise ValueError(f"series did not converge at a = {a!r}, x = {x!r}")
     log_p = log_prefactor + math.log(total)
     if log_p >= 0.0:
         return -math.inf

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .estimators import hill, ml_uniform
-from .rand_models import DistributionSpec
+from .rand_models import DistributionSpec, _index
 from .renyi import HeavySample, _descending
 
 __all__ = [
@@ -65,8 +65,8 @@ def _ordered_log_density(model: DensityModel, n: int, y: np.ndarray) -> float:
     k = len(y)
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= n ordered points")
-    if np.any(np.isnan(y)) or np.any(y < 0.0):
-        raise ValueError("ordered points must be nonnegative reals")
+    if not np.all(np.isfinite(y)) or np.any(y < 0.0):
+        raise ValueError("ordered points must be finite and nonnegative")
     diffs = np.diff(np.concatenate(([0.0], y)))
     if np.any(diffs <= 0.0):
         return -math.inf  # off the ordered cone
@@ -80,7 +80,7 @@ def ordered_density(model: DensityModel, n: int, y, log: bool = False) -> float:
     p(y) = prod_{j=1..k} (n-j+1) g((n-j+1)(y_j - y_{j-1})), y_0 = 0;
     zero off the ordered cone.
     """
-    val = _ordered_log_density(model, n, np.asarray(y, dtype=np.float64))
+    val = _ordered_log_density(model, _index(n, "n"), np.asarray(y, dtype=np.float64))
     return val if log else math.exp(val)
 
 
@@ -93,8 +93,8 @@ def permuted_density(model: DensityModel, y, log: bool = False) -> float:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or len(y) < 1:
         raise ValueError("y must be a nonempty 1-d sequence")
-    if np.any(np.isnan(y)):
-        raise ValueError("y must be real")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
     if np.any(y < 0.0):
         return -math.inf if log else 0.0
     n = len(y)
@@ -110,21 +110,20 @@ def conditional_log_likelihood(model: DensityModel, w, n: int) -> float:
 
         log k! + sum_{j=n-k+1..n} [log g((n-j+1)(log w_j - log w_{j-1})) - log w_j].
 
-    ``w`` holds the k+1 values w_{n-k} .. w_n; spacings outside g's support
-    give -inf rather than an error.
+    ``w`` holds the k+1 values w_{n-k} .. w_n, finite, positive and
+    nondecreasing (else ValueError); spacings outside g's support give -inf
+    rather than an error.
     """
+    n = _index(n, "n")
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1 or len(w) < 2:
         raise ValueError("w must hold the conditioning value plus at least one point")
-    k = len(w) - 1
-    if k > n:
+    # the block is a k-point sample with floor w_{n-k}; its zhat weights are n-j+1
+    block = HeavySample(scale_c=float(w[0]), w=w[1:])
+    if block.n > n:
         raise ValueError("block longer than the sample")
-    if np.any(w <= 0.0) or np.any(np.diff(w) < 0.0):
-        raise ValueError("w must be positive and nondecreasing")
-    logw = np.log(w)
-    coef = _descending(k)  # n-j+1 for j = n-k+1..n
-    zhat = coef * np.diff(logw)
-    return float(math.lgamma(k + 1) + np.sum(model.log_density(zhat)) - np.sum(logw[1:]))
+    return float(math.lgamma(block.n + 1) + np.sum(model.log_density(block.zhat))
+                 - np.sum(np.log(block.w)))
 
 
 def ml_fit(model_family: str, w: HeavySample, k: int, r: float | None = None) -> float:

@@ -5,9 +5,8 @@ sequence x_k = sum_{j<=k} z_j / (n+1-j); exponentiating and scaling gives a
 heavy-tailed sample w_k = C exp(x_k) whose scaled log-spacings recover the
 z's exactly.  The weights c_l = n+1-l have one owner, ``_descending(n)``: a
 cached read-only float64 array n, n-1, ..., 1 that the construction, the
-spacings, psi_n, the experiments' inline constructions and the full-sample
-likelihoods all read, so a replication neither rebuilds it nor converts it
-from int.  The oracles at the bottom evaluate finite-n expectations of reordered
+spacings, psi_n and the permuted density all read, so a replication neither
+rebuilds it nor converts it from int.  The oracles at the bottom evaluate finite-n expectations of reordered
 coordinates X_{D,n} without simulation: psi_n as one cumulative product, the
 moment recursion as one telescoped cumulative sum per order (O(k_max^2 n)
 work), the cross moments of two coordinates by their recursion's closed form.

@@ -81,6 +81,13 @@ def test_experiments_takes_only_the_tail_helpers_from_large_deviations():
     assert names <= {"_tail_rate", "_tail_results", "exact_hill_tail"}, names
 
 
+def test_experiments_builds_x_through_the_construction():
+    # generalized_renyi owns x_k = sum z_j/(n+1-j); the experiments keep no
+    # copy of it and so no use for its weights
+    names = {n for _, names in _package_imports(_tree("experiments")) for n in names}
+    assert "generalized_renyi" in names and "_descending" not in names, names
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_no_function_imports_a_package_module(name):
     # a deferred import is how a cycle hides; scipy's deferred imports are fine

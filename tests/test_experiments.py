@@ -19,7 +19,7 @@ from renyitail import large_deviations as ld
 from renyitail import rand_models as rm
 from renyitail.estimators import h_function
 from renyitail.large_deviations import exact_hill_tail
-from renyitail.renyi import cross_moment_recursion
+from renyitail.renyi import cross_moment_recursion, generalized_renyi
 
 THREE_LAWS = ("unif:gamma=0.5", "bern:gamma=0.5", "exp:gamma=0.5")
 
@@ -771,6 +771,45 @@ def test_exponential_limit_cross_moments():
     # 4-standard-error band for the empirical product moment
     se = 4.0 * 0.6 / math.sqrt(reps)  # sd(X1 X2) < 0.6 for these laws
     assert abs(row["unif:gamma=0.5_m11"] - exact) <= se
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_variance_curve_builds_x_by_generalized_renyi(workers):
+    # figure 1's cells, rebuilt from fresh streams with draw + generalized_renyi
+    # and the public quantile estimator, agree bit for bit
+    n, s_grid = 200, (0.1, 0.5, 0.797, 0.95)
+    cfg = ex.ExperimentConfig(experiment="variance_curve", specs=THREE_LAWS, n=n, reps=4,
+                              master_seed=13, s_grid=s_grid)
+    table = ex.run_variance_curve(cfg, workers=workers)
+    for spec in cfg.specs:
+        vals = _reference(lambda rng: est.quantile_estimator(
+            generalized_renyi(rm.draw(spec, rng, n)), s_grid), cfg.reps, cfg.master_seed,
+            f"variance_curve/{spec.canonical()}")
+        scaled = math.sqrt(n) * (vals - spec.gamma) / math.sqrt(spec.variance)
+        assert table.column(spec.canonical()) == np.var(scaled, axis=0, ddof=1).tolist()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_exponential_limit_builds_x_by_generalized_renyi(workers):
+    # t1's Monte Carlo cells, rebuilt from fresh streams with draw +
+    # generalized_renyi at two random distinct indices, agree bit for bit
+    n_grid = (50, 200)
+    cfg = ex.ExperimentConfig(experiment="exp_limit", specs=("unif:gamma=0.5", "exp:gamma=0.5"),
+                              reps=4, master_seed=13, n_grid=n_grid)
+    table = ex.run_exponential_limit(cfg, workers=workers)
+
+    def pair(spec, m, rng):
+        x = generalized_renyi(rm.draw(spec, rng, m))
+        i, j = int(rng.integers(m)), int(rng.integers(m - 1))
+        return x[i], x[j + (j >= i)]
+
+    for spec in cfg.specs:
+        tag = spec.canonical()
+        for m, corr, m11 in zip(n_grid, table.column(f"{tag}_corr"), table.column(f"{tag}_m11")):
+            vals = _reference(partial(pair, spec, m), cfg.reps, cfg.master_seed,
+                              f"exp_limit/{tag}/n={m}")
+            v1, v2 = vals[:, 0], vals[:, 1]
+            assert (corr, m11) == (float(np.corrcoef(v1, v2)[0, 1]), float(np.mean(v1 * v2)))
 
 
 def test_ld_check_columns_and_oracles():

@@ -237,6 +237,21 @@ def test_log_gammaincc_rejects_infinite_shape():
         ld.log_gammaincc(math.inf, 3.0)
 
 
+@pytest.mark.parametrize("a, x, loop", [(1e9, 1e9 - 5, "series"),
+                                         (1e11, 1e11 + 3, "continued fraction"),
+                                         (1e12, 1e12 - 3, "series")])
+def test_log_gammaincc_raises_at_its_loop_caps(a, x, loop):
+    # near x = a the step count grows like sqrt(a); an unconverged loop holds a
+    # wrong value (here about -0.69 is right), so its cap must raise
+    with pytest.raises(ValueError, match=f"{loop} did not converge"):
+        ld.log_gammaincc(a, x)
+
+
+def test_exact_hill_tail_raises_where_its_oracle_cannot_converge():
+    with pytest.raises(ValueError, match="did not converge"):
+        ld.exact_hill_tail(rm.exponential(1.0), 10**12, 1 - 3e-12)
+
+
 def test_exact_hill_tail_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
         ld.exact_hill_tail(rm.exponential(1.0), 5, math.nan)

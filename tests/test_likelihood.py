@@ -86,6 +86,19 @@ def test_ordered_density_rejects_bad_input():
         lk.ordered_density(model, 2, [-0.5, 1.0])
     with pytest.raises(ValueError):
         lk.ordered_density(model, 2, [0.1, 0.2, 0.3])  # k > n
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            lk.ordered_density(model, 3, [0.1, 0.2, bad])
+    with pytest.raises(ValueError, match="n must be an integer"):
+        lk.ordered_density(model, 2.5, [0.1])  # n is a coefficient (n-j+1)
+
+
+def test_permuted_density_rejects_non_finite_points():
+    # an infinite point is an input error, as NaN is, not a point of density 0
+    model = lk.DensityModel(rm.exponential(1.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            lk.permuted_density(model, [0.1, bad])
 
 
 def test_permuted_density_single_point():
@@ -137,6 +150,15 @@ def test_conditional_likelihood_rejects_bad_ordering():
         lk.conditional_log_likelihood(model, [2.0, 1.0], 10)
     with pytest.raises(ValueError):
         lk.conditional_log_likelihood(model, [-1.0, 1.0], 10)
+
+
+def test_conditional_likelihood_rejects_infinite_w_and_non_integer_n():
+    # an infinite w_n is an input error, not a spacing off the support
+    model = lk.DensityModel(rm.exponential(0.5))
+    with pytest.raises(ValueError, match="finite"):
+        lk.conditional_log_likelihood(model, [1.0, 2.0, math.inf], 5)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        lk.conditional_log_likelihood(model, [1.0, 2.0], 5.0)
 
 
 @pytest.mark.parametrize("k", [1, 2])
