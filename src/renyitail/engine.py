@@ -146,11 +146,9 @@ def replication_map(fn, reps: int, master_seed: int, tag: str,
 
 def _checked(job: _Job) -> _Job:
     """job with integer counts, or ValueError if its streams do not fit in 64 bits."""
-    reps, start = _index(job.reps, "reps"), _index(job.start, "start")
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    reps, start = _index(job.reps, "reps", 1), _index(job.start, "start", 0)
     first = _stream_base(job.tag) + start
-    if first < 0 or first + reps > 2**64:
+    if first + reps > 2**64:
         raise ValueError(f"streams {first}..{first + reps - 1} of tag {job.tag!r} "
                          "do not fit in 64 unsigned bits")
     return job._replace(reps=reps, start=start)
@@ -175,9 +173,7 @@ def _replications(jobs, master_seed: int, workers: int):
     killed first.
     """
     jobs = [_checked(job) for job in jobs]
-    workers = _index(workers, "workers")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    workers = _index(workers, "workers", 1)
     master_seed = SeedSpec(master_seed).master_seed  # a plain int in 0..2**64-1
     longest = max((job.reps for job in jobs), default=1)
     spans = min(workers, longest, _usable_cpus()) if hasattr(os, "fork") else 1

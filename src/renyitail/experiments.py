@@ -85,10 +85,7 @@ class ExperimentConfig:
         # SeedSpec owns the seed rule; the config keeps its plain int for to_text()
         object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
         for name in ("n", "reps"):
-            value = _index(getattr(self, name), name)
-            if value < 1:
-                raise ValueError(f"{name} must be positive")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _index(getattr(self, name), name, 1))
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
         if self.y is not None and not math.isfinite(self.y):
@@ -98,16 +95,11 @@ class ExperimentConfig:
             if any(not 0.0 < s < 1.0 for s in sg):
                 raise ValueError("s grid must lie in (0, 1)")
             object.__setattr__(self, "s_grid", sg)
-        if self.k_grid is not None:
-            kg = tuple(_index(k, "k grid entry") for k in self.k_grid)
-            if any(k < 1 for k in kg):
-                raise ValueError("k grid entries must be positive")
-            object.__setattr__(self, "k_grid", kg)
-        if self.n_grid is not None:
-            ng = tuple(_index(m, "n grid entry") for m in self.n_grid)
-            if any(m < 2 for m in ng):
-                raise ValueError("n grid entries must be at least 2")
-            object.__setattr__(self, "n_grid", ng)
+        for name, minimum in (("k_grid", 1), ("n_grid", 2)):
+            grid = getattr(self, name)
+            if grid is not None:
+                entry = name.replace("_", " ") + " entry"
+                object.__setattr__(self, name, tuple(_index(m, entry, minimum) for m in grid))
 
     def to_text(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -192,9 +192,7 @@ def exact_hill_tail(spec: DistributionSpec, k: int, y: float) -> float:
     k * hill(k) is a sum of k iid gamma(r, r/gamma) variables, hence
     gamma(k r, r/gamma); the tail is a regularized upper incomplete gamma.
     """
-    k = _index(k, "k")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = _index(k, "k", 1)
     if math.isnan(y):
         raise ValueError("y must not be NaN")
     if spec.kind == "exp":
@@ -252,9 +250,7 @@ def _tail_results(spec: DistributionSpec, ks, y: float, reps: int, seed: SeedSpe
     falls below 100; every other k is one job of a single ``_replications``
     run, which forks the worker processes once for all of ks.
     """
-    ks, reps = [_index(k, "k") for k in ks], _index(reps, "reps")
-    if reps < 1 or any(k < 1 for k in ks):
-        raise ValueError("k and reps must be positive")
+    ks, reps = [_index(k, "k", 1) for k in ks], _index(reps, "reps", 1)
     rate = _tail_rate(spec, y)
     runs = [reps * math.exp(-k * rate) >= 100.0 for k in ks]  # an infinite rate gives exp 0
     jobs = [_tail_job(spec, k, y, reps, seed) for k, run in zip(ks, runs) if run]

@@ -155,16 +155,26 @@ def parse_spec(text: str) -> DistributionSpec:
     return DistributionSpec(kind, **kwargs)
 
 
-def _index(value, name: str) -> int:
-    """value as an int, or ValueError if it is not one (int() would truncate 7.5 to 7)."""
+def _index(value, name: str, minimum: int | None = None) -> int:
+    """value as an int, or ValueError if it is not one or is below ``minimum``.
+
+    int() would truncate 7.5 to 7, and a bool is not a count; operator.index
+    already refuses a numpy bool.
+    """
+    if type(value) is bool:
+        raise ValueError(f"{name} must be an integer")
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return value
 
 
 def draw(spec: DistributionSpec, rng: Generator, count: int) -> np.ndarray:
     """Draw ``count`` iid values from an already-open stream."""
+    # not _index: draw runs once per replication, where its cost would show
     if count <= 0:
         raise ValueError("count must be positive")
     g = spec.gamma
@@ -212,9 +222,7 @@ def quantile(spec: DistributionSpec, u):
 
 def moment(spec: DistributionSpec, k: int) -> float:
     """Exact k-th raw moment; returns math.inf when the moment diverges."""
-    k = _index(k, "moment order")
-    if k < 1:
-        raise ValueError("moment order must be positive")
+    k = _index(k, "moment order", 1)
     g = spec.gamma
     if spec.kind == "exp":
         return math.factorial(k) * g**k

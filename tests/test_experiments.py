@@ -19,7 +19,7 @@ from renyitail import large_deviations as ld
 from renyitail import rand_models as rm
 from renyitail.estimators import h_function
 from renyitail.large_deviations import exact_hill_tail
-from renyitail.renyi import cross_moment_recursion, generalized_renyi
+from renyitail.renyi import cross_moment_recursion, generalized_renyi, moment_recursion, psi_n
 
 THREE_LAWS = ("unif:gamma=0.5", "bern:gamma=0.5", "exp:gamma=0.5")
 
@@ -288,8 +288,7 @@ def test_replication_map_range_checked_before_any_replication():
 
     room = 2**64 - engine._stream_base("tag/edge")  # streams left under this tag
     for kwargs in ({"master_seed": -1}, {"master_seed": 2**64},
-                   {"master_seed": 7, "start": room - 4},
-                   {"master_seed": 7, "start": -engine._stream_base("tag/edge") - 1}):
+                   {"master_seed": 7, "start": room - 4}):
         with pytest.raises(ValueError, match="64 unsigned bits"):
             ex.replication_map(fn, 5, tag="tag/edge", **kwargs)
     assert calls == []
@@ -298,6 +297,15 @@ def test_replication_map_range_checked_before_any_replication():
     for workers in (1, 2):
         got = ex.replication_map(fn, 5, 7, "tag/edge", workers=workers, start=room - 5)
         assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("start", [-1, -2, -engine._stream_base("tag/edge") - 1])
+def test_negative_start_is_rejected_before_any_replication(start):
+    # a negative start would reach the streams below the tag's own range
+    calls = []
+    with pytest.raises(ValueError, match="start must be at least 0"):
+        ex.replication_map(calls.append, 3, 7, "tag/edge", start=start)
+    assert calls == []
 
 
 def test_replication_map_matches_fresh_philox_at_the_key_edges():
@@ -353,6 +361,64 @@ def test_workers_below_one_are_rejected(workers, monkeypatch):
     with pytest.raises(ValueError, match="workers must be at least 1"):
         ex.run_experiment(cfg, workers=workers)
     assert calls == []
+
+
+_EXP = rm.exponential(1.0)
+
+
+def _config(**kwargs):
+    return ex.ExperimentConfig(experiment="coverage", specs=THREE_LAWS, **kwargs)
+
+
+# (call of one count, its name, its minimum, the message below the minimum);
+# calls append to `ran` from any replication they start
+_COUNTS = {
+    "replication_map reps": (lambda v, ran: ex.replication_map(ran.append, v, 7, "tag/c"),
+                             "reps", 1, None),
+    "replication_map start": (lambda v, ran: ex.replication_map(ran.append, 3, 7, "tag/c",
+                                                                start=v), "start", 0, None),
+    "replication_map workers": (lambda v, ran: ex.replication_map(ran.append, 3, 7, "tag/c",
+                                                                  workers=v), "workers", 1, None),
+    "mc_tail_logprob k": (lambda v, ran: ld.mc_tail_logprob(_EXP, v, 1.5, 10**5,
+                                                            engine.SeedSpec(7), workers=2),
+                          "k", 1, None),
+    "mc_tail_logprob reps": (lambda v, ran: ld.mc_tail_logprob(_EXP, 1, 1.5, v,
+                                                               engine.SeedSpec(7), workers=2),
+                             "reps", 1, None),
+    "config n": (lambda v, ran: _config(n=v), "n", 1, None),
+    "config reps": (lambda v, ran: _config(reps=v), "reps", 1, None),
+    "config k grid": (lambda v, ran: _config(k_grid=(10, v)), "k grid entry", 1, None),
+    "config n grid": (lambda v, ran: _config(n_grid=(50, v)), "n grid entry", 2, None),
+    "exact_hill_tail k": (lambda v, ran: exact_hill_tail(_EXP, v, 1.5), "k", 1, None),
+    "moment order": (lambda v, ran: rm.moment(_EXP, v), "moment order", 1, None),
+    "psi_n n": (lambda v, ran: psi_n(_EXP, v, 0.3), "n", 1, None),
+    "moment_recursion k_max": (lambda v, ran: moment_recursion(_EXP, v, 10), "k_max", 1, None),
+    "moment_recursion n": (lambda v, ran: moment_recursion(_EXP, 2, v), "n", 1, None),
+    "cross_moment_recursion n": (lambda v, ran: cross_moment_recursion(_EXP, v), "n", 2, None),
+    "SeedSpec master_seed": (lambda v, ran: engine.SeedSpec(v), "master_seed", 0,
+                             "master_seed must fit in 64 unsigned bits"),
+    "SeedSpec stream_index": (lambda v, ran: engine.SeedSpec(7, v), "stream_index", 0,
+                              "stream_index must fit in 64 unsigned bits"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_COUNTS))
+def test_every_count_is_an_integer_at_least_its_minimum(site, monkeypatch):
+    """A fraction, a bool and minimum - 1 each fail at the boundary, before
+    any replication runs or any process forks."""
+    call, name, minimum, below = _COUNTS[site]
+
+    def no_fork():
+        raise AssertionError("forked before checking the counts")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    ran = []
+    for value in (2.5, True, False, np.bool_(True)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            call(value, ran)
+    with pytest.raises(ValueError, match=f"^{below or f'{name} must be at least {minimum}'}$"):
+        call(minimum - 1, ran)
+    assert ran == []
 
 
 @pytest.mark.parametrize("seed", [np.uint64(7), np.int64(7), 7], ids=repr)
