@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from ._special import _ndtri
 from .renyi import HeavySample
 
 __all__ = [
@@ -123,12 +124,12 @@ def h_function(s: float) -> float:
 def h_minimizer() -> tuple[float, float]:
     """Locate the unique minimum of h: the root of log(1/(1-s)) = 2s in (0, 1).
 
-    That is the nonzero root of 1 - s = e^(-2s), s0 = 1 + W0(-2e^-2)/2 with the
-    principal Lambert W branch; returns (s0, h(s0)).
+    Newton steps from s = 0.8 on -log1p(-s) - 2s give the root correctly
+    rounded, s0 = 0.79681213002002; returns (s0, h(s0)).
     """
-    from scipy.special import lambertw  # imported here: scipy.special doubles start-up
-
-    s0 = 1.0 + 0.5 * float(lambertw(-2.0 * math.exp(-2.0)).real)
+    s0 = 0.8
+    for _ in range(6):  # quadratic from 3e-3 off; from the fifth on, a step is 0
+        s0 -= (-math.log1p(-s0) - 2.0 * s0) / (1.0 / (1.0 - s0) - 2.0)
     return s0, h_function(s0)
 
 
@@ -168,74 +169,3 @@ def half_width(scale, m, eps: float):
     if not np.all(np.asarray(m) >= 1):
         raise ValueError("m must be at least 1")
     return scale * _ndtri(1.0 - eps / 2.0) / np.sqrt(m)
-
-
-# Cephes ndtri (S. L. Moshier), as vendored in scipy's xsf library: the same
-# coefficients, Horner loops and operation order, so _ndtri(y) equals
-# scipy.special.ndtri(y) bit for bit (tests/test_estimators.py pins this).
-_S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
-_EXPM2 = 0.13533528323661269189  # exp(-2)
-# central branch, |y - 1/2| <= 1/2 - exp(-2)
-_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
-       1.39312609387279679503E1, -1.23916583867381258016E0)
-_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
-       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
-       1.59056225126211695515E1, -1.18331621121330003142E0)
-# tails with x = sqrt(-2 log y) in [2, 8)
-_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
-       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
-       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
-_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
-       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
-       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-# far tails, x >= 8
-_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
-       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
-       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
-_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
-       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
-       2.89247864745380683936E-6, 6.79019408009981274425E-9)
-
-
-def _polevl(x: float, c: tuple) -> float:
-    """c[0] x^N + c[1] x^(N-1) + ... + c[N], by Horner's rule."""
-    a = c[0]
-    for ci in c[1:]:
-        a = a * x + ci
-    return a
-
-
-def _p1evl(x: float, c: tuple) -> float:
-    """x^N + c[0] x^(N-1) + ... + c[N-1]: _polevl with a leading coefficient 1."""
-    a = x + c[0]
-    for ci in c[1:]:
-        a = a * x + ci
-    return a
-
-
-def _ndtri(y0: float) -> float:
-    """Phi^-1(y0), the standard normal quantile, for y0 in [0, 1] (-inf at 0, inf at 1).
-
-    A port of Cephes' ``ndtri.c`` (S. L. Moshier) as scipy's xsf library
-    ships it: a rational approximation in y - 1/2 for the central range,
-    and two in 1/x, x = sqrt(-2 log y), for the tails.
-    """
-    if y0 == 0.0:
-        return -math.inf
-    if y0 == 1.0:
-        return math.inf
-    lower, y = True, y0
-    if y > 1.0 - _EXPM2:
-        y, lower = 1.0 - y, False
-    if y > _EXPM2:
-        y = y - 0.5
-        y2 = y * y
-        return (y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
-    else:
-        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
-    return -(x0 - x1) if lower else x0 - x1

@@ -20,6 +20,7 @@ from itertools import chain
 import numpy as np
 
 from . import estimators
+from ._special import KS_CRITICAL_1PCT
 from .engine import SeedSpec, _Job, _replications, replication_map
 from .large_deviations import _tail_rate, _tail_results, exact_hill_tail
 from .rand_models import DistributionSpec, _index, draw, parse_spec, support
@@ -279,18 +280,22 @@ def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     return ReportTable(columns, _rows(k_grid, cols), _meta(cfg))
 
 
+def _ks_statistic(v: np.ndarray, cdf) -> float:
+    """sup_t |F_N(t) - cdf(t)| for the sample v: max(i/N - F, F - (i-1)/N) over
+    F = cdf(sorted v), in scipy.stats.kstest's operations and so with its bits."""
+    f = cdf(np.sort(v))
+    n = len(f)
+    return float(max(np.max(np.arange(1.0, n + 1) / n - f), np.max(f - np.arange(0.0, n) / n)))
+
+
 def run_exponential_limit(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     """Distance of a random coordinate X_{D,n} from its exponential limit.
 
     Per n and spacing law: one-sample KS of X_{D1,n} against Exp(gamma), the
     empirical correlation of (X_{D1,n}, X_{D2,n}) for distinct random
     indices, and their product moment next to the closed-form exact value;
-    ks_critical is scipy's kstwobign 1% quantile over sqrt(reps).
+    ks_critical is the 1% point of the limiting Kolmogorov law over sqrt(reps).
     """
-    # imported here: scipy.stats adds ~0.9 s and ~64 MB to the package's own
-    # ~0.1 s, 35 MB import, and no other code path needs it
-    from scipy import stats
-
     _require_spacing_laws(cfg)
     _require_two_reps(cfg)
     n_grid = cfg.n_grid if cfg.n_grid is not None else default_n_grid()
@@ -315,11 +320,11 @@ def run_exponential_limit(cfg: ExperimentConfig, workers: int = 1) -> ReportTabl
     rows = []
     with closing(_replications(jobs, cfg.master_seed, workers)) as results:
         for m in n_grid:
-            cells = [m, float(stats.kstwobign.isf(0.01)) / math.sqrt(cfg.reps)]
+            cells = [m, KS_CRITICAL_1PCT / math.sqrt(cfg.reps)]
             for spec, vals in zip(cfg.specs, results):
                 v1, v2 = vals[:, 0], vals[:, 1]
-                ks = stats.kstest(v1, lambda t: 1.0 - np.exp(-t / spec.gamma)).statistic
-                cells += [float(ks), float(np.corrcoef(v1, v2)[0, 1]), float(np.mean(v1 * v2)),
+                ks = _ks_statistic(v1, lambda t: 1.0 - np.exp(-t / spec.gamma))
+                cells += [ks, float(np.corrcoef(v1, v2)[0, 1]), float(np.mean(v1 * v2)),
                           float(exact[spec][m])]
             rows.append(tuple(cells))
     return ReportTable(columns, rows, _meta(cfg))

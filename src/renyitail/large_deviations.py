@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._special import log_gammaincc
 from .engine import SeedSpec, _Job, _replications
 from .rand_models import DistributionSpec, _index, draw, moment
 
@@ -126,64 +127,6 @@ def iid_comparison_rates(c: float) -> tuple[float, float]:
     (-c + log(1+c), c + log(1-c)), depending on the tail index alone.
     """
     return gamma_family_rates(1.0, c)
-
-
-def log_gammaincc(a: float, x: float) -> float:
-    """log of the regularized upper incomplete gamma Q(a, x), stable deep in
-    the tail.
-
-    Continued fraction (modified Lentz) for x > a+1, series for the lower
-    function otherwise.  The log prefactor -x + a log x - lgamma(a) cancels,
-    so its absolute error grows like a log(a) 2^-53 (about 1e-8 at a = 1e7).
-    Near x = a the step count grows like sqrt(a); a loop that reaches its
-    cap raises ValueError rather than return an unconverged value.
-    """
-    if not 0.0 < a < math.inf:
-        raise ValueError("shape a must be positive and finite")
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    if x <= 0.0:
-        return 0.0
-    if x == math.inf:
-        return -math.inf
-    log_prefactor = -x + a * math.log(x) - math.lgamma(a)
-    if x > a + 1.0:
-        tiny = 1e-300
-        b = x + 1.0 - a
-        c = 1.0 / tiny
-        d = 1.0 / b if b != 0.0 else 1.0 / tiny
-        f = d
-        for i in range(1, 10000):
-            an = -i * (i - a)
-            b += 2.0
-            d = an * d + b
-            if abs(d) < tiny:
-                d = tiny
-            c = b + an / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
-            delta = d * c
-            f *= delta
-            if abs(delta - 1.0) < 1e-16:
-                break
-        else:
-            raise ValueError(f"continued fraction did not converge at a = {a!r}, x = {x!r}")
-        return log_prefactor + math.log(f)
-    # series for P(a, x); Q = 1 - P is not small on this branch
-    term = 1.0 / a
-    total = term
-    for i in range(1, 100000):
-        term *= x / (a + i)
-        total += term
-        if term < total * 1e-17:
-            break
-    else:
-        raise ValueError(f"series did not converge at a = {a!r}, x = {x!r}")
-    log_p = log_prefactor + math.log(total)
-    if log_p >= 0.0:
-        return -math.inf
-    return math.log1p(-math.exp(log_p))
 
 
 def exact_hill_tail(spec: DistributionSpec, k: int, y: float) -> float:

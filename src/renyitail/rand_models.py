@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
+from ._special import gammaincinv
+
 __all__ = [
     "DistributionSpec",
     "exponential",
@@ -196,7 +198,8 @@ def draw(spec: DistributionSpec, rng: Generator, count: int) -> np.ndarray:
 def quantile(spec: DistributionSpec, u):
     """Left-continuous generalized inverse of the CDF at u in (0, 1).
 
-    Accepts a scalar or an array; the Bernoulli case is the 0/1 step.
+    Accepts a scalar or an array; the Bernoulli case is the 0/1 step, and
+    the gamma law inverts the regularized incomplete gamma, ``_special.gammaincinv``.
     """
     arr = np.asarray(u, dtype=np.float64)
     if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails both comparisons
@@ -209,9 +212,7 @@ def quantile(spec: DistributionSpec, u):
     elif spec.kind == "bern":
         out = np.where(arr <= 1.0 - g, 0.0, 1.0)
     elif spec.kind == "gamma":
-        from scipy.special import gammaincinv  # imported here: scipy.special doubles start-up
-
-        out = gammaincinv(spec.r, arr) * (g / spec.r)
+        out = np.vectorize(gammaincinv, otypes=[float])(spec.r, arr) * (g / spec.r)
     elif spec.kind == "pareto":
         out = spec.c * (1.0 - arr) ** (-g)
     else:  # hall

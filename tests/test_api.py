@@ -60,14 +60,36 @@ def _package_imports(tree):
     return found
 
 
-def test_rand_models_imports_no_package_or_process_module():
-    tree = _tree("rand_models")
-    assert _package_imports(tree) == []
+def _absolute_imports(tree):
+    """The top-level names of the absolute imports under tree: ``import a.b`` gives "a"."""
     top = {a.name.partition(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
            for a in node.names}
-    top |= {node.module.partition(".")[0] for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and not node.level}
-    assert top.isdisjoint({"io", "os", "pickle", "signal", "zlib"}), top
+    return top | {node.module.partition(".")[0] for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and not node.level}
+
+
+_PROCESS_MODULES = {"io", "os", "pickle", "signal", "zlib"}
+
+
+def test_special_imports_no_package_or_process_module():
+    # the bottom of the layering: every other module may build on it
+    tree = _tree("_special")
+    assert _package_imports(tree) == []
+    assert _absolute_imports(tree).isdisjoint(_PROCESS_MODULES), _absolute_imports(tree)
+
+
+def test_rand_models_imports_no_package_or_process_module():
+    # _special alone, for the gamma-law quantile
+    tree = _tree("rand_models")
+    assert {module for module, _ in _package_imports(tree)} <= {"_special"}
+    assert _absolute_imports(tree).isdisjoint(_PROCESS_MODULES), _absolute_imports(tree)
+
+
+def test_no_module_imports_scipy():
+    # the runtime needs numpy alone; scipy is a test dependency
+    found = [str(path.relative_to(_SRC)) for path in sorted(_SRC.rglob("*.py"))
+             if "scipy" in _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
 
 
 @pytest.mark.parametrize("name", ["renyi", "engine"])
@@ -90,36 +112,13 @@ def test_experiments_builds_x_through_the_construction():
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_function_imports_a_package_module(name):
-    # a deferred import is how a cycle hides; scipy's deferred imports are fine
+    # a deferred import is how a cycle hides
     functions = [node for node in ast.walk(_tree(name))
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
     assert [imp for fn in functions for imp in _package_imports(fn)] == []
 
 
 _ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(renyitail.__file__))}
-
-
-def _loaded_by_import(module: str) -> bool:
-    code = ("import sys, renyitail, renyitail.cli; "
-            f"sys.exit({module!r} in sys.modules)")
-    return subprocess.run([sys.executable, "-c", code], env=_ENV).returncode != 0
-
-
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats adds ~0.9 s and ~64 MB to the package's own ~0.1 s, 35 MB
-    # import; only the t1 runner loads it
-    assert not _loaded_by_import("scipy.stats")
-
-
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs ~0.2 s and ~30 MB; rate_function solves its one root itself
-    assert not _loaded_by_import("scipy.optimize")
-
-
-def test_import_leaves_scipy_special_unloaded():
-    # scipy.special doubles start-up; only h_minimizer and the gamma-law quantile
-    # load it, on first use
-    assert not _loaded_by_import("scipy.special")
 
 
 @pytest.mark.parametrize("argv", [
@@ -132,13 +131,19 @@ def test_import_leaves_scipy_special_unloaded():
     ("estimate", "DATA", "--method", "quantile", "--c", "1"),
     ("figure", "--id", "ld", "--reps", "50"),
     ("figure", "--id", "3", "--n", "50", "--reps", "20"),
+    ("figure", "--id", "t1", "--reps", "50"),
+    ("figure", "--id", "1", "--n", "50", "--reps", "20"),
+    ("figure", "--id", "2", "--n", "50"),
+    ("fit", "DATA", "--family", "gamma", "--r", "2", "--c", "1"),
 ], ids=" ".join)
 def test_command_leaves_scipy_special_unloaded(argv, tmp_path):
+    # no command loads any scipy module, scipy.special or other
     data = tmp_path / "w.txt"
     data.write_text("1\n2\n4\n8\n")
     argv = [str(data) if arg == "DATA" else arg for arg in argv]
     code = ("import sys; from renyitail.cli import main; status = main(sys.argv[1:]); "
-            "print('exit', status, 'scipy.special' in sys.modules, file=sys.stderr)")
+            "print('exit', status, any(m.partition('.')[0] == 'scipy' for m in sys.modules), "
+            "file=sys.stderr)")
     result = subprocess.run([sys.executable, "-c", code, *argv], env=_ENV,
                             capture_output=True, text=True)
     assert result.stderr.endswith("exit 0 False\n"), result.stderr

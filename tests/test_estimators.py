@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import mpmath
 from scipy import special
 
+from renyitail import _special
 from renyitail import estimators as est
 from renyitail import rand_models as rm
 from renyitail.experiments import default_s_grid
@@ -220,6 +222,13 @@ def test_h_minimizer_location():
     assert -math.log1p(-s0) == pytest.approx(2.0 * s0, abs=1e-9)
 
 
+def test_h_minimizer_is_the_correctly_rounded_root():
+    # 0.796812130020020046...; Lambert W's closed form rounds it 1 ulp low
+    with mpmath.workdps(40):
+        root = mpmath.findroot(lambda s: -mpmath.log(1 - s) - 2 * s, (0.7, 0.9), solver="anderson")
+    assert est.h_minimizer()[0] == float(root)
+
+
 def test_h_divergence_near_one():
     s0, h0 = est.h_minimizer()
     assert est.h_function(0.999) > est.h_function(0.99) > h0
@@ -316,7 +325,7 @@ def test_ndtri_equals_scipy_bit_for_bit():
         1.0 - np.array([0.1, 0.05, 0.01, 0.001, 0.2, 0.3, 0.5, 0.9, 0.999, 1e-6]) / 2.0,
     ])
     want = special.ndtri(grid)
-    got = np.array([est._ndtri(float(y)) for y in grid])
+    got = np.array([_special._ndtri(float(y)) for y in grid])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # every branch is reached, by x = sqrt(-2 log min(y, 1 - y)), which picks it
     inner = grid[(0.0 < grid) & (grid < 1.0)]

@@ -1,4 +1,4 @@
-"""The asymptotic one-sample KS critical value of the t1 table."""
+"""The one-sample KS statistic and asymptotic critical value of the t1 table."""
 
 import math
 
@@ -7,6 +7,8 @@ import pytest
 from scipy import stats
 
 from renyitail import experiments as ex
+from renyitail import rand_models as rm
+from renyitail.renyi import generalized_renyi
 
 
 def _ks_critical(n):
@@ -38,3 +40,21 @@ def test_critical_value_tracks_rejection_rate():
         d = max(np.max(i / n - u), np.max(u - (i - 1) / n))
         rejections += d > crit
     assert rejections / trials <= 0.03
+
+
+@pytest.mark.parametrize("law", ["exp:gamma=1", "unif:gamma=0.5", "bern:gamma=0.5"])
+def test_ks_statistic_equals_scipy_bit_for_bit(law):
+    # a random coordinate of the construction against Exp(gamma), as t1 takes it;
+    # bern's coordinates take few values, so the sorted sample has ties
+    spec = rm.parse_spec(law)
+    rng = np.random.default_rng(26)
+    v = np.array([generalized_renyi(rm.draw(spec, rng, 5))[rng.integers(5)]
+                  for _ in range(20000)])
+    assert spec.kind != "bern" or len(np.unique(v)) < 100
+
+    def cdf(t):
+        return 1.0 - np.exp(-t / spec.gamma)
+
+    for n in (1, 2, 3, 10, 137, 1000, 20000):
+        want = stats.kstest(v[:n], cdf).statistic
+        assert ex._ks_statistic(v[:n], cdf).hex() == float(want).hex(), n

@@ -112,6 +112,19 @@ def test_gamma_quantile_inverts_the_cdf(r, g):
     np.testing.assert_allclose(special.gammainc(r, r / g * qs), us, rtol=1e-12)
 
 
+@pytest.mark.parametrize("r, u, rel", [(0.001, 0.6, 1e-12), (1e5, 0.9, 2e-9), (1e6, 1e-6, 2e-9)])
+def test_gamma_quantile_at_extreme_shapes(r, u, rel):
+    # the inverse's log prefactor cancels to about r log(r) 2^-53 at large r
+    q = rm.quantile(rm.gamma_law(r, 1.0), u)
+    with mpmath.workdps(30):
+        assert float(mpmath.gammainc(r, 0, r * q, regularized=True)) == pytest.approx(u, rel=rel)
+
+
+def test_gamma_quantile_underflows_to_zero():
+    # P(r, x) <= x^r / Gamma(r+1): at r = 1e-3 and u = 1/4 the root is about e^-1386
+    assert rm.quantile(rm.gamma_law(0.001, 1.0), 0.25) == 0.0
+
+
 def test_uniform_second_moment():
     assert rm.moment(rm.uniform(0.5), 2) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
