@@ -121,6 +121,25 @@ def test_no_function_imports_a_package_module(name):
 _ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(renyitail.__file__))}
 
 
+def _loaded_by_import(module):
+    """Whether importing the package and its CLI, in a fresh interpreter, loads module."""
+    code = ("import sys, renyitail, renyitail.cli; "
+            f"sys.exit({module!r} in sys.modules)")
+    return subprocess.run([sys.executable, "-c", code], env=_ENV).returncode != 0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    assert not _loaded_by_import("scipy.stats")
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    assert not _loaded_by_import("scipy.optimize")
+
+
+def test_import_leaves_scipy_special_unloaded():
+    assert not _loaded_by_import("scipy.special")
+
+
 @pytest.mark.parametrize("argv", [
     ("rate", "--spec", "exp:gamma=1", "--z", "1.5"),
     ("simulate", "--spec", "exp:gamma=1", "--n", "50"),
