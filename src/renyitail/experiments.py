@@ -24,7 +24,7 @@ from ._special import KS_CRITICAL_1PCT
 from .engine import SeedSpec, _Job, _replications, replication_map
 from .large_deviations import _tail_rate, _tail_results, exact_hill_tail
 from .rand_models import DistributionSpec, _index, draw, parse_spec, support
-from .renyi import HeavySample, cross_moment_recursion, generalized_renyi, heavy_sample
+from .renyi import HeavySample, _model_zhat, cross_moment_recursion, generalized_renyi
 
 __all__ = [
     "DEFAULT_SEED",
@@ -177,13 +177,13 @@ def _meta(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _heavy_for(spec: DistributionSpec, rng, n: int) -> HeavySample:
-    """Model sample with C = 1 for spacing laws (the log-spacings do not depend
-    on C); sorted iid draws above their support floor for comparison laws."""
+def _zhat_for(spec: DistributionSpec, rng, n: int) -> np.ndarray:
+    """The scaled log-spacings zhat of one sample of size n: of the model, on the
+    log scale and without forming w, for spacing laws (zhat does not depend on C);
+    of the sorted iid draws above their support floor for comparison laws."""
     if spec.is_spacing_law:
-        return heavy_sample(draw(spec, rng, n), 1.0)
-    w = np.sort(draw(spec, rng, n))
-    return HeavySample(scale_c=support(spec)[0], w=w)
+        return _model_zhat(draw(spec, rng, n))
+    return HeavySample(scale_c=support(spec)[0], w=np.sort(draw(spec, rng, n))).zhat
 
 
 def _law_jobs(cfg: ExperimentConfig, one_rep, suffix: str = "") -> list[_Job]:
@@ -240,14 +240,16 @@ def run_variance_curve(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
 def run_hill_plot(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     """Hill trajectory gamma_hat(k), k = 1..n, one column per law.
 
-    Spacing laws go through the model construction; Pareto-type laws are
-    sampled iid and sorted.  Each trajectory is averaged over reps
-    independent realizations.
+    Spacing laws give their log-spacings straight from x = generalized_renyi(z),
+    with no w formed; Pareto-type laws are sampled iid and sorted.  Each
+    trajectory is averaged over reps independent realizations.
     """
     n = cfg.n
+    ks = np.arange(1, n + 1)
+    idx = ks - 1
 
     def one_rep(spec, rng):
-        return estimators.hill_trajectory(_heavy_for(spec, rng, n))
+        return estimators._hill_sigma(_zhat_for(spec, rng, n), idx, ks, n)[0]
 
     trajs = [np.mean(vals, axis=0) for _, vals in _per_law(cfg, one_rep, workers)]
     columns = ["k"] + [s.canonical() for s in cfg.specs]
@@ -268,7 +270,7 @@ def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     unit = estimators.half_width(1.0, ks, cfg.eps)
 
     def one_rep(spec, rng):
-        gh, sig = estimators._hill_sigma(_heavy_for(spec, rng, n).zhat, idx, ksf, kmax)
+        gh, sig = estimators._hill_sigma(_zhat_for(spec, rng, n), idx, ksf, kmax)
         dev = np.abs(gh - spec.gamma)
         return np.concatenate([(dev <= sig * unit), (dev <= gh * unit)])
 

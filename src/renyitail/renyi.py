@@ -3,10 +3,12 @@
 The central construction turns iid values z_1..z_n into the nondecreasing
 sequence x_k = sum_{j<=k} z_j / (n+1-j); exponentiating and scaling gives a
 heavy-tailed sample w_k = C exp(x_k) whose scaled log-spacings recover the
-z's exactly.  The weights c_l = n+1-l have one owner, ``_descending(n)``: a
-cached read-only float64 array n, n-1, ..., 1 that the construction, the
-spacings, psi_n and the permuted density all read, so a replication neither
-rebuilds it nor converts it from int.  The oracles at the bottom evaluate finite-n expectations of reordered
+z's exactly.  The Monte Carlo figures never form w: those that need the
+log-spacings take them as the differences of x (``_model_zhat``).  The weights
+c_l = n+1-l have one owner, ``_descending(n)``: a cached read-only float64
+array n, n-1, ..., 1 that the construction, the spacings, psi_n and the
+permuted density all read, so a replication neither rebuilds it nor converts
+it from int.  The oracles at the bottom evaluate finite-n expectations of reordered
 coordinates X_{D,n} without simulation: psi_n as one cumulative product, the
 moment recursion as one telescoped cumulative sum per order (O(k_max^2 n)
 work), the cross moments of two coordinates by their recursion's closed form.
@@ -91,12 +93,32 @@ def generalized_renyi(z) -> np.ndarray:
     return x
 
 
-def heavy_sample(z, scale_c: float) -> HeavySample:
-    """w_k = C exp(x_k) from the spacings z; requires nonnegative z so that w is ordered."""
+def _model_x(z) -> np.ndarray:
+    """generalized_renyi(z) for model spacings: nonnegative, so that x is nondecreasing."""
     z = np.asarray(z, dtype=np.float64)
     x = generalized_renyi(z)
     if z.min() < 0:  # z is finite: generalized_renyi checked its last prefix sum
         raise ValueError("model violation: spacings must be nonnegative")
+    return x
+
+
+def _model_zhat(z) -> np.ndarray:
+    """heavy_sample(z, C).zhat for any C, on the log scale: log w_k - log C = x_k,
+    so zhat_k = (n+1-k)(x_k - x_{k-1}), x_0 = 0, and no w is formed (nor can overflow).
+
+    The same bits as np.diff(np.concatenate(([0.0], x))) * _descending(n).
+    """
+    x = _model_x(z)
+    zhat = np.empty_like(x)
+    zhat[0] = x[0]
+    np.subtract(x[1:], x[:-1], out=zhat[1:])
+    zhat *= _descending(len(x))
+    return zhat
+
+
+def heavy_sample(z, scale_c: float) -> HeavySample:
+    """w_k = C exp(x_k) from the spacings z; requires nonnegative z so that w is ordered."""
+    x = _model_x(z)
     with np.errstate(over="ignore"):  # reported below, not warned
         w = scale_c * np.exp(x)
     if w[-1] == math.inf:  # w is nondecreasing, so an overflow reaches its end

@@ -324,6 +324,22 @@ def test_simulate_overflow_exit_1_without_a_warning(flags, values):
     assert done.stderr == f"renyitail: error: C*exp(x_n) overflows float64: {values}\n"
 
 
+def test_figures_never_form_w_so_a_large_gamma_does_not_overflow(capsys):
+    # x_n reaches about 760 here, so C*exp(x_n) overflows; figures 2 and 3 read the
+    # log-spacings from x alone
+    reps, eps = 400, 0.1
+    code, out, _ = _run(capsys, "figure", "--id", "3", "--spec", "exp:gamma=100", "--n", "1000",
+                        "--reps", str(reps))
+    assert code == 0
+    last = _parse_csv(out)[-1]
+    assert last["k"] == "1000"
+    se = math.sqrt(eps * (1.0 - eps) / reps)
+    assert abs(float(last["exp:gamma=100.0_self"]) - (1.0 - eps)) <= 4.0 * se
+    code, out, _ = _run(capsys, "figure", "--id", "2", "--spec", "exp:gamma=100", "--n", "1000")
+    assert code == 0
+    assert len(_parse_csv(out)) == 1000
+
+
 def test_fit_exponential_matches_hill(tmp_path, capsys):
     data = tmp_path / "w.txt"
     data.write_text("1\n2\n4\n8\n")

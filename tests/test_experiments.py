@@ -6,6 +6,7 @@ import json
 import math
 import os
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -789,7 +790,8 @@ def test_coverage_kernels_match_public_estimators(workers):
     unit = est.half_width(1.0, ks, cfg.eps)
 
     def reference(spec, rng):
-        h = ex._heavy_for(spec, rng, n)
+        # the zhat the table reads; the public estimators read only h.n and h.zhat
+        h = SimpleNamespace(n=n, zhat=ex._zhat_for(spec, rng, n))
         gh, sig = est.hill(h, ks), est.spacing_sigma(h, ks)
         kernel_gh, kernel_sig = est._hill_sigma(h.zhat, ks - 1, ks.astype(np.float64), n)
         assert np.array_equal(kernel_gh, gh)

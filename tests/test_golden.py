@@ -20,11 +20,13 @@ GOLDEN = {
     # each figure digest moved once when the config line lost its avg_seeds and scale_c
     # keys, with every row unchanged; figures 1 and t1 moved once more, by roundoff in
     # the last bits, when they began to build x through generalized_renyi (a division
-    # where they had multiplied by the reciprocal); CHANGES.md lists the old and new digests
+    # where they had multiplied by the reciprocal); figure 2 moved once more, by roundoff
+    # in its spacing-law columns, when it began to take the log-spacings as differences
+    # of x instead of logs of w = exp(x); CHANGES.md lists the old and new digests
     ("figure", "--id", "1"):
         "45ba703f30e87ffe1299ffacd935aaa76d4464c78c9583ffaf9a6d228555c851",
     ("figure", "--id", "2"):
-        "ea5c45f987e3735600fd59b438324b7cc86cd0e11ce45d312390b724b7586a83",
+        "29a7b4db1be52e2f621b8c133c66ea1b23c6ad118e93e3c6a99031478a3c3599",
     ("figure", "--id", "3"):
         "02e2a3714b0963a2e891e2c0f83397956b1066bdc4de7b9a3bb75dd392fa732e",
     ("figure", "--id", "t1", "--reps", "2000"):

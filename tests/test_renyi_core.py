@@ -90,6 +90,44 @@ def test_heavy_sample_overflow_is_an_error_not_a_warning(z, c):
             renyi.heavy_sample(z, c)
 
 
+_SPACING_LAWS = (rm.uniform(0.5), rm.bernoulli(0.5), rm.exponential(0.5), rm.gamma_law(2.0, 0.5))
+
+
+@pytest.mark.parametrize("spec", _SPACING_LAWS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("n", [1, 2, 5000])
+def test_model_zhat_is_the_difference_of_x(spec, n):
+    z = rm.draw(spec, np.random.default_rng(31), n)
+    zhat = renyi._model_zhat(z)
+    x = renyi.generalized_renyi(z)
+    assert np.array_equal(zhat, np.diff(np.concatenate(([0.0], x))) * renyi._descending(n))
+    # the logs of w = exp(x) give the same spacings up to their roundoff: an ulp
+    # of log w_k, times n+1-k, so about n ulps of x_n (1.1e-12 relative on bern at n = 5000)
+    via_w = renyi.heavy_sample(z, 1.0).zhat
+    assert np.max(np.abs(zhat - via_w)) <= n * np.finfo(np.float64).eps * max(x[-1], 1.0)
+
+
+def test_model_zhat_never_forms_w():
+    # heavy_sample overflows on these spacings; their log-scale spacings do not
+    z = np.full(1000, 100.0)
+    with pytest.raises(ValueError, match="overflows"):
+        renyi.heavy_sample(z, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zhat = renyi._model_zhat(z)
+    assert np.max(np.abs(zhat - z)) <= 1e-12 * 100.0
+
+
+@pytest.mark.parametrize("z, match", [
+    ([0.5, -1e-300, 0.2], "model violation"),
+    ([0.5, np.nan, 0.2], "must be finite"),
+    ([0.5, np.inf, 0.2], "must be finite"),
+    ([], "nonempty"),
+])
+def test_model_zhat_rejects_bad_spacings(z, match):
+    with pytest.raises(ValueError, match=match):
+        renyi._model_zhat(z)
+
+
 def test_descending_is_a_read_only_float_arange():
     for n in (1, 2, 5000):
         c = renyi._descending(n)
