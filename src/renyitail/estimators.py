@@ -53,13 +53,18 @@ def hill(h: HeavySample, k):
     call bit for bit.
     """
     ks, kmax = _check_k(h.n, k)
-    gamma_hat, _ = _hill_sigma(h.zhat, ks - 1, ks, kmax)
+    gamma_hat = _hill(h.zhat, ks - 1, ks, kmax)
     return float(gamma_hat) if ks.ndim == 0 else gamma_hat
 
 
 def _top(zhat: np.ndarray, k: int) -> np.ndarray:
     """The top-k block: the scaled log-spacings of the k largest values, from the top down."""
     return zhat[::-1][:k]
+
+
+def _hill(zhat: np.ndarray, idx, ks, kmax: int):
+    """hill on checked input, arguments as in _hill_sigma: its first value, bit for bit."""
+    return np.cumsum(_top(zhat, kmax))[idx] / ks
 
 
 def _hill_sigma(zhat: np.ndarray, idx, ks, kmax: int):

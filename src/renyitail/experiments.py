@@ -249,7 +249,7 @@ def run_hill_plot(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     idx = ks - 1
 
     def one_rep(spec, rng):
-        return estimators._hill_sigma(_zhat_for(spec, rng, n), idx, ks, n)[0]
+        return estimators._hill(_zhat_for(spec, rng, n), idx, ks, n)
 
     trajs = [np.mean(vals, axis=0) for _, vals in _per_law(cfg, one_rep, workers)]
     columns = ["k"] + [s.canonical() for s in cfg.specs]

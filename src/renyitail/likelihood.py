@@ -14,7 +14,7 @@ import numpy as np
 
 from .estimators import hill, ml_uniform
 from .rand_models import DistributionSpec, _index
-from .renyi import HeavySample, _descending
+from .renyi import HeavySample, _descending, _scaled_spacings
 
 __all__ = [
     "DensityModel",
@@ -55,23 +55,10 @@ class DensityModel:
         else:
             r = self.spec.r
             rate = r / g
-            ok = x > 0.0
+            ok = (x > 0.0) & (x < math.inf)  # at +inf the log-density is inf - inf
             out[ok] = r * math.log(rate) + (r - 1.0) * np.log(x[ok]) - rate * x[ok] \
                 - math.lgamma(r)
         return float(out[0]) if scalar else out
-
-
-def _ordered_log_density(model: DensityModel, n: int, y: np.ndarray) -> float:
-    k = len(y)
-    if k < 1 or k > n:
-        raise ValueError("need 1 <= k <= n ordered points")
-    if not np.all(np.isfinite(y)) or np.any(y < 0.0):
-        raise ValueError("ordered points must be finite and nonnegative")
-    diffs = np.diff(np.concatenate(([0.0], y)))
-    if np.any(diffs <= 0.0):
-        return -math.inf  # off the ordered cone
-    coef = np.arange(n, n - k, -1).astype(np.float64)
-    return float(np.sum(np.log(coef) + model.log_density(coef * diffs)))
 
 
 def ordered_density(model: DensityModel, n: int, y, log: bool = False) -> float:
@@ -80,8 +67,16 @@ def ordered_density(model: DensityModel, n: int, y, log: bool = False) -> float:
     p(y) = prod_{j=1..k} (n-j+1) g((n-j+1)(y_j - y_{j-1})), y_0 = 0;
     zero off the ordered cone.
     """
-    val = _ordered_log_density(model, _index(n, "n"), np.asarray(y, dtype=np.float64))
-    return val if log else math.exp(val)
+    n = _index(n, "n")
+    y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1 or not 1 <= len(y) <= n:
+        raise ValueError("need 1 <= k <= n ordered points in a 1-d sequence")
+    if not np.all(np.isfinite(y)) or np.any(y < 0.0):
+        raise ValueError("ordered points must be finite and nonnegative")
+    zhat = _scaled_spacings(y, n=n)
+    jacobian = np.log(_descending(n)[: len(y)])
+    val = -math.inf if np.any(zhat <= 0.0) else float(np.sum(jacobian + model.log_density(zhat)))
+    return val if log else math.exp(val)  # 0 off the ordered cone
 
 
 def permuted_density(model: DensityModel, y, log: bool = False) -> float:
@@ -97,10 +92,7 @@ def permuted_density(model: DensityModel, y, log: bool = False) -> float:
         raise ValueError("y must be finite")
     if np.any(y < 0.0):
         return -math.inf if log else 0.0
-    n = len(y)
-    s = np.sort(y)
-    diffs = np.diff(np.concatenate(([0.0], s)))
-    val = float(np.sum(model.log_density(_descending(n) * diffs)))
+    val = float(np.sum(model.log_density(_scaled_spacings(np.sort(y)))))
     return val if log else math.exp(val)
 
 
@@ -131,8 +123,8 @@ def ml_fit(model_family: str, w: HeavySample, k: int, r: float | None = None) ->
     block: exponential and fixed-shape gamma reduce to the Hill estimator,
     uniform to half the largest spacing.
     """
-    if model_family == "gamma" and (r is None or not r > 0):
-        raise ValueError("gamma family needs a positive shape r")
+    if model_family == "gamma" and (r is None or not 0 < r < math.inf):
+        raise ValueError("gamma family needs a finite positive shape r")
     if model_family in ("exponential", "gamma"):
         return hill(w, k)
     if model_family == "uniform":

@@ -3,15 +3,15 @@
 The central construction turns iid values z_1..z_n into the nondecreasing
 sequence x_k = sum_{j<=k} z_j / (n+1-j); exponentiating and scaling gives a
 heavy-tailed sample w_k = C exp(x_k) whose scaled log-spacings recover the
-z's exactly.  The Monte Carlo figures never form w: those that need the
-log-spacings take them as the differences of x (``_model_zhat``).  The weights
-c_l = n+1-l have one owner, ``_descending(n)``: a cached read-only float64
-array n, n-1, ..., 1 that the construction, the spacings, psi_n and the
-permuted density all read, so a replication neither rebuilds it nor converts
-it from int.  The oracles at the bottom evaluate finite-n expectations of reordered
-coordinates X_{D,n} without simulation: psi_n as one cumulative product, the
-moment recursion as one telescoped cumulative sum per order (O(k_max^2 n)
-work), the cross moments of two coordinates by their recursion's closed form.
+z's exactly.  That inverse, (n+1-k)(x_k - x_{k-1}), belongs to
+``_scaled_spacings``; the Monte Carlo figures take it of x and never form w
+(``_model_zhat``).  The weights c_l = n+1-l belong to ``_descending(n)``, a
+cached read-only float64 array n, n-1, ..., 1, so a replication neither
+rebuilds it nor converts it from int.  The oracles at the bottom evaluate
+finite-n expectations of reordered coordinates X_{D,n} without simulation:
+psi_n as one cumulative product, the moment recursion as one telescoped
+cumulative sum per order (O(k_max^2 n) work), the cross moments of two
+coordinates by their recursion's closed form.
 """
 
 from __future__ import annotations
@@ -46,6 +46,17 @@ def _descending(n: int) -> np.ndarray:
     return c
 
 
+def _scaled_spacings(x: np.ndarray, floor: float = 0.0, n: int | None = None) -> np.ndarray:
+    """The inverse of the construction on a checked nonempty float64 x: (n+1-k)(x_k - x_{k-1})
+    for k = 1..len(x), x_0 = floor, n = len(x) unless given: the same bits as the
+    differences of [floor, x] times _descending(n)[:len(x)], with no concatenated copy."""
+    zhat = np.empty_like(x)
+    zhat[0] = x[0] - floor
+    np.subtract(x[1:], x[:-1], out=zhat[1:])
+    zhat *= _descending(len(x) if n is None else n)[: len(x)]
+    return zhat
+
+
 @dataclass(frozen=True)
 class HeavySample:
     """Nondecreasing positive sample w with scale floor C (w_0 := C)."""
@@ -77,7 +88,7 @@ class HeavySample:
         up to roundoff.
         """
         logw = np.log(np.concatenate(([self.scale_c], self.w)))
-        zhat = np.diff(logw) * _descending(self.n)
+        zhat = _scaled_spacings(logw[1:], logw[0])
         zhat.flags.writeable = False
         return zhat
 
@@ -103,17 +114,9 @@ def _model_x(z) -> np.ndarray:
 
 
 def _model_zhat(z) -> np.ndarray:
-    """heavy_sample(z, C).zhat for any C, on the log scale: log w_k - log C = x_k,
-    so zhat_k = (n+1-k)(x_k - x_{k-1}), x_0 = 0, and no w is formed (nor can overflow).
-
-    The same bits as np.diff(np.concatenate(([0.0], x))) * _descending(n).
-    """
-    x = _model_x(z)
-    zhat = np.empty_like(x)
-    zhat[0] = x[0]
-    np.subtract(x[1:], x[:-1], out=zhat[1:])
-    zhat *= _descending(len(x))
-    return zhat
+    """heavy_sample(z, C).zhat for any C, as the scaled spacings of x = log(w/C) from
+    x_0 = 0: no w is formed, so none can overflow."""
+    return _scaled_spacings(_model_x(z))
 
 
 def heavy_sample(z, scale_c: float) -> HeavySample:

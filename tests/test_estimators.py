@@ -132,6 +132,16 @@ def test_k_grid_equals_scalar_calls_bit_for_bit(z, c, data):
     assert np.array_equal(est.spacing_sigma(h, ks), [est.spacing_sigma(h, int(k)) for k in ks])
 
 
+def test_hill_kernel_is_the_first_value_of_hill_sigma():
+    # figure 2 reads the Hill-only kernel, figure 3 the pair; the Hill bits must agree
+    zhat = heavy_sample(np.random.default_rng(45).exponential(0.5, 300), 1.5).zhat
+    for ks in (np.arange(1, 301), np.array([1, 2, 37, 300]), np.array(17)):
+        for kf in (ks, ks.astype(np.float64)):
+            kmax = int(ks.max())
+            gh = est._hill(zhat, ks - 1, kf, kmax)
+            assert gh.tobytes() == est._hill_sigma(zhat, ks - 1, kf, kmax)[0].tobytes()
+
+
 def test_spacing_sigma_scalar_equals_grid_regression():
     # c1**2 on a 0-d numpy scalar rounded differently from the same square in an array;
     # the top 3 of this sample are 6.0, 5.1, 0.9, the values that showed it

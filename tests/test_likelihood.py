@@ -38,6 +38,57 @@ def test_log_density_rejects_nan(spec):
             model.log_density(bad)
 
 
+@pytest.mark.parametrize("spec", [rm.exponential(0.5), rm.uniform(0.5), rm.gamma_law(2.0, 0.5),
+                                  rm.gamma_law(0.7, 1.3)], ids=str)
+def test_log_density_is_minus_inf_at_infinity(spec):
+    # gamma's (r-1) log x - rate x is inf - inf there: +inf lies outside every support
+    model = lk.DensityModel(spec)
+    assert model.log_density(math.inf) == -math.inf
+    assert model.log_density(-math.inf) == -math.inf
+    assert np.array_equal(model.log_density(np.array([math.inf, 1.0]))[:1], [-math.inf])
+
+
+def _reference_ordered_log_density(model, n, y):
+    """ordered_density's log as written with its own weights and np.diff."""
+    diffs = np.diff(np.concatenate(([0.0], y)))
+    if np.any(diffs <= 0.0):
+        return -math.inf
+    coef = np.arange(n, n - len(y), -1).astype(np.float64)
+    return float(np.sum(np.log(coef) + model.log_density(coef * diffs)))
+
+
+def _reference_permuted_log_density(model, y):
+    """permuted_density's log as written with np.diff over the sorted points."""
+    diffs = np.diff(np.concatenate(([0.0], np.sort(y))))
+    return float(np.sum(model.log_density(np.arange(len(y), 0, -1).astype(np.float64) * diffs)))
+
+
+@pytest.mark.parametrize("spec", [rm.exponential(0.5), rm.uniform(0.5), rm.gamma_law(2.0, 0.5),
+                                  rm.gamma_law(0.7, 1.3)], ids=str)
+def test_densities_are_the_scaled_spacing_formulas_bit_for_bit(spec):
+    model = lk.DensityModel(spec)
+    rng = np.random.default_rng(61)
+    finite = 0
+    for trial in range(400):
+        k = int(rng.integers(1, 9))
+        n = k + int(rng.integers(0, 4))
+        y = np.round(rng.exponential(0.15, k), 2)  # rounding makes ties
+        if trial % 4 != 3:  # one trial in four stays unsorted, mostly off the ordered cone
+            y = np.sort(y)
+        if trial % 4 == 1:
+            y[0] = 0.0  # a zero first value
+        if trial % 4 == 2 and k > 1:
+            y[-1] = y[-2]  # a tie
+        pairs = [(lk.ordered_density(model, n, y, log=True), _reference_ordered_log_density(model, n, y)),
+                 (lk.permuted_density(model, y, log=True), _reference_permuted_log_density(model, y))]
+        for got, ref in pairs:
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+            finite += math.isfinite(ref)
+        assert lk.ordered_density(model, n, y) == math.exp(pairs[0][1])
+        assert lk.permuted_density(model, y) == math.exp(pairs[1][1])
+    assert finite >= 200  # most points are inside the support, so the sums are compared
+
+
 def test_ordered_density_two_exponentials():
     # n = k = 2 with unit-rate exponential spacings: p(y1, y2) = 2 e^{-y1-y2}
     model = lk.DensityModel(rm.exponential(1.0))
@@ -86,6 +137,9 @@ def test_ordered_density_rejects_bad_input():
         lk.ordered_density(model, 2, [-0.5, 1.0])
     with pytest.raises(ValueError):
         lk.ordered_density(model, 2, [0.1, 0.2, 0.3])  # k > n
+    for bad in (0.5, [[0.1, 0.2]]):  # not a 1-d sequence
+        with pytest.raises(ValueError, match="1-d"):
+            lk.ordered_density(model, 2, bad)
     for bad in (math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             lk.ordered_density(model, 3, [0.1, 0.2, bad])
@@ -224,8 +278,9 @@ def test_ml_fit_gamma_is_hill():
     z = rng.gamma(3.0, 0.5 / 3.0, 100)
     h = heavy_sample(z, 1.0)
     assert lk.ml_fit("gamma", h, 40, r=3.0) == est.hill(h, 40)
-    with pytest.raises(ValueError):
-        lk.ml_fit("gamma", h, 40)
+    for r in (None, math.inf, math.nan, 0.0, -1.0):  # the CLI's rule for --r: 0 < r < inf
+        with pytest.raises(ValueError, match="positive shape"):
+            lk.ml_fit("gamma", h, 40, r=r)
 
 
 def test_ml_fit_uniform_hand_value():

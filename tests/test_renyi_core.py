@@ -128,6 +128,41 @@ def test_model_zhat_rejects_bad_spacings(z, match):
         renyi._model_zhat(z)
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# the floors log C of HeavySample.zhat; the golden digests cover only C = 1 and hall's 1.5
+_SCALES = (1.5, 0.37, 1e-300, 1e300)
+
+
+@pytest.mark.parametrize("c", [1.0, *_SCALES])
+@pytest.mark.parametrize("m, n", [(1, None), (2, None), (5000, None), (1, 4), (3, 10), (5000, 6000)])
+def test_scaled_spacings_is_the_scaled_difference(c, m, n):
+    floor = math.log(c)
+    rng = np.random.default_rng(53)
+    z = rng.exponential(1.0, m)
+    z[rng.random(m) < 0.2] = 0.0  # ties
+    z[rng.random(m) < 0.1] *= -1.0  # and steps down: the function does not need order
+    x = floor + np.cumsum(z)
+    ref = np.diff(np.concatenate(([floor], x))) * renyi._descending(m if n is None else n)[:m]
+    assert _same_bits(renyi._scaled_spacings(x, floor, n=n), ref)
+    if floor == 0.0 and n is None:
+        assert _same_bits(renyi._scaled_spacings(x), ref)
+
+
+@pytest.mark.parametrize("c", _SCALES)
+@pytest.mark.parametrize("n", [1, 2, 5000])
+def test_heavy_sample_zhat_is_the_scaled_log_difference(c, n):
+    rng = np.random.default_rng(59)
+    w = np.sort(c * (1.0 + rng.pareto(2.0, n)))
+    w[: n // 4] = c  # ties with the floor
+    w[n // 3: n // 2] = w[n // 3]  # and among the values
+    zhat = renyi.HeavySample(scale_c=c, w=w).zhat
+    ref = np.diff(np.log(np.concatenate(([c], w)))) * renyi._descending(n)
+    assert _same_bits(zhat, ref)
+
+
 def test_descending_is_a_read_only_float_arange():
     for n in (1, 2, 5000):
         c = renyi._descending(n)
