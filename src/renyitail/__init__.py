@@ -22,7 +22,9 @@ from .estimators import (
 from .experiments import (
     DEFAULT_SEED,
     ExperimentConfig,
+    MCTailResult,
     ReportTable,
+    mc_tail_logprob,
     run_coverage,
     run_exponential_limit,
     run_experiment,
@@ -31,12 +33,10 @@ from .experiments import (
     run_variance_curve,
 )
 from .large_deviations import (
-    MCTailResult,
     exact_hill_tail,
     gamma_family_rates,
     iid_comparison_rates,
     log_gammaincc,
-    mc_tail_logprob,
     rate_function,
 )
 from .likelihood import (

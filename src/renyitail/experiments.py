@@ -22,7 +22,7 @@ import numpy as np
 from . import estimators
 from ._special import KS_CRITICAL_1PCT
 from .engine import SeedSpec, _Job, _replications, replication_map
-from .large_deviations import _tail_rate, _tail_results, exact_hill_tail
+from .large_deviations import _tail_rate, exact_hill_tail
 from .rand_models import DistributionSpec, _index, draw, parse_spec, support
 from .renyi import HeavySample, _model_zhat, cross_moment_recursion, generalized_renyi
 
@@ -38,6 +38,8 @@ __all__ = [
     "run_hill_plot",
     "run_coverage",
     "run_exponential_limit",
+    "MCTailResult",
+    "mc_tail_logprob",
     "run_ld_check",
     "run_experiment",
 ]
@@ -82,6 +84,9 @@ class ExperimentConfig:
         specs = tuple(parse_spec(s) if isinstance(s, str) else s for s in self.specs)
         if not specs:
             raise ValueError("at least one distribution spec is required")
+        for i, spec in enumerate(specs):
+            if spec in specs[:i]:  # its columns would repeat, and its streams run twice
+                raise ValueError(f"law {spec.canonical()} is given twice")
         object.__setattr__(self, "specs", specs)
         # SeedSpec owns the seed rule; the config keeps its plain int for to_text()
         object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
@@ -201,8 +206,10 @@ def _per_law(cfg: ExperimentConfig, one_rep, workers: int):
 
 
 def _rows(keys, columns) -> list[tuple]:
-    """One row per key: the key, then its entry in each column."""
-    return [(key, *(col[j] for col in columns)) for j, key in enumerate(keys)]
+    """One row per key: the key, then its entry in each column, numpy columns
+    converted to Python values once rather than cell by cell."""
+    columns = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
+    return list(zip(keys, *columns))
 
 
 def _require_spacing_laws(cfg: ExperimentConfig) -> None:
@@ -221,6 +228,10 @@ def run_variance_curve(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     """
     _require_spacing_laws(cfg)
     _require_two_reps(cfg)
+    for spec in cfg.specs:
+        if not spec.variance > 0.0:  # the statistic is scaled by 1/sd(Z)
+            raise ValueError(f"{cfg.experiment} needs a law of positive variance, "
+                             f"got {spec.canonical()}")
     s_grid = cfg.s_grid if cfg.s_grid is not None else default_s_grid()
     cfg = replace(cfg, s_grid=s_grid)
     n = cfg.n
@@ -330,6 +341,67 @@ def run_exponential_limit(cfg: ExperimentConfig, workers: int = 1) -> ReportTabl
                           float(exact[spec][m])]
             rows.append(tuple(cells))
     return ReportTable(columns, rows, _meta(cfg))
+
+
+@dataclass(frozen=True)
+class MCTailResult:
+    """Monte Carlo estimate of (1/k) log P(hill(k) >= y)."""
+
+    estimate: float | None
+    std_error: float | None
+    events: int
+    reps: int
+    insufficient: bool
+
+
+def _tail_job(spec: DistributionSpec, k: int, y: float, reps: int, seed: SeedSpec) -> _Job:
+    """The replication job of one k: each replication draws k values, and
+    the job's fold marks the rows whose mean is at least y."""
+
+    def one_rep(rng) -> np.ndarray:
+        return draw(spec, rng, k)
+
+    def hits(block: np.ndarray) -> np.ndarray:
+        # each row reduces as the row alone would, and .mean() is that add.reduce
+        # divided by the count, so these are the bits of draw(...).mean() >= y
+        return np.add.reduce(block, axis=1) / k >= y
+
+    tag = f"mc_tail/{spec.canonical()}/k={k}/y={y!r}/s={seed.stream_index}"
+    return _Job(one_rep, reps, tag, fold=hits)
+
+
+def _tail_results(spec: DistributionSpec, ks, y: float, reps: int, seed: SeedSpec,
+                  workers: int):
+    """Yield the ``mc_tail_logprob`` result of each k of ks, in order.
+
+    A k is declined when the expected event count reps * exp(-k * rate)
+    falls below 100; every other k is one job of a single ``_replications``
+    run, which forks the worker processes once for all of ks.
+    """
+    ks, reps = [_index(k, "k", 1) for k in ks], _index(reps, "reps", 1)
+    rate = _tail_rate(spec, y)
+    runs = [reps * math.exp(-k * rate) >= 100.0 for k in ks]  # an infinite rate gives exp 0
+    jobs = [_tail_job(spec, k, y, reps, seed) for k, run in zip(ks, runs) if run]
+    with closing(_replications(jobs, seed.master_seed, workers)) as hits:
+        for k, run in zip(ks, runs):
+            events = int(np.count_nonzero(next(hits))) if run else 0
+            if events == 0:
+                yield MCTailResult(None, None, 0, reps, True)
+                continue
+            p_hat = events / reps
+            se = math.sqrt((1.0 - p_hat) / (reps * p_hat)) / k
+            yield MCTailResult(math.log(p_hat) / k, se, events, reps, False)
+
+
+def mc_tail_logprob(spec: DistributionSpec, k: int, y: float, reps: int,
+                    seed: SeedSpec, workers: int = 1) -> MCTailResult:
+    """Estimate (1/k) log P(hill(k) >= y) from raw replication frequencies.
+
+    Declines to report a number when the expected event count
+    reps * exp(-k * rate) falls below 100, or when no events occur.
+    """
+    (result,) = _tail_results(spec, (k,), y, reps, seed, workers)
+    return result
 
 
 def run_ld_check(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:

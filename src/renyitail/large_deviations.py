@@ -12,14 +12,9 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import closing
-from dataclasses import dataclass
-
-import numpy as np
 
 from ._special import log_gammaincc
-from .engine import SeedSpec, _Job, _replications
-from .rand_models import DistributionSpec, _index, draw, moment
+from .rand_models import DistributionSpec, _index, moment
 
 __all__ = [
     "rate_function",
@@ -27,8 +22,6 @@ __all__ = [
     "iid_comparison_rates",
     "log_gammaincc",
     "exact_hill_tail",
-    "MCTailResult",
-    "mc_tail_logprob",
 ]
 
 
@@ -149,17 +142,6 @@ def exact_hill_tail(spec: DistributionSpec, k: int, y: float) -> float:
     return log_gammaincc(k * shape, rate * k * y)
 
 
-@dataclass(frozen=True)
-class MCTailResult:
-    """Monte Carlo estimate of (1/k) log P(hill(k) >= y)."""
-
-    estimate: float | None
-    std_error: float | None
-    events: int
-    reps: int
-    insufficient: bool
-
-
 def _tail_rate(spec: DistributionSpec, y: float) -> float:
     """inf_{x >= y} I(x): the rate governing P(hill >= y)."""
     if math.isnan(y):
@@ -167,53 +149,3 @@ def _tail_rate(spec: DistributionSpec, y: float) -> float:
     if y <= moment(spec, 1):
         return 0.0
     return rate_function(spec, y)
-
-
-def _tail_job(spec: DistributionSpec, k: int, y: float, reps: int, seed: SeedSpec) -> _Job:
-    """The replication job of one k: each replication draws k values, and
-    the job's fold marks the rows whose mean is at least y."""
-
-    def one_rep(rng) -> np.ndarray:
-        return draw(spec, rng, k)
-
-    def hits(block: np.ndarray) -> np.ndarray:
-        # each row reduces as the row alone would, and .mean() is that add.reduce
-        # divided by the count, so these are the bits of draw(...).mean() >= y
-        return np.add.reduce(block, axis=1) / k >= y
-
-    tag = f"mc_tail/{spec.canonical()}/k={k}/y={y!r}/s={seed.stream_index}"
-    return _Job(one_rep, reps, tag, fold=hits)
-
-
-def _tail_results(spec: DistributionSpec, ks, y: float, reps: int, seed: SeedSpec,
-                  workers: int):
-    """Yield the ``mc_tail_logprob`` result of each k of ks, in order.
-
-    A k is declined when the expected event count reps * exp(-k * rate)
-    falls below 100; every other k is one job of a single ``_replications``
-    run, which forks the worker processes once for all of ks.
-    """
-    ks, reps = [_index(k, "k", 1) for k in ks], _index(reps, "reps", 1)
-    rate = _tail_rate(spec, y)
-    runs = [reps * math.exp(-k * rate) >= 100.0 for k in ks]  # an infinite rate gives exp 0
-    jobs = [_tail_job(spec, k, y, reps, seed) for k, run in zip(ks, runs) if run]
-    with closing(_replications(jobs, seed.master_seed, workers)) as hits:
-        for k, run in zip(ks, runs):
-            events = int(np.count_nonzero(next(hits))) if run else 0
-            if events == 0:
-                yield MCTailResult(None, None, 0, reps, True)
-                continue
-            p_hat = events / reps
-            se = math.sqrt((1.0 - p_hat) / (reps * p_hat)) / k
-            yield MCTailResult(math.log(p_hat) / k, se, events, reps, False)
-
-
-def mc_tail_logprob(spec: DistributionSpec, k: int, y: float, reps: int,
-                    seed: SeedSpec, workers: int = 1) -> MCTailResult:
-    """Estimate (1/k) log P(hill(k) >= y) from raw replication frequencies.
-
-    Declines to report a number when the expected event count
-    reps * exp(-k * rate) falls below 100, or when no events occur.
-    """
-    (result,) = _tail_results(spec, (k,), y, reps, seed, workers)
-    return result

@@ -74,7 +74,7 @@ def ordered_density(model: DensityModel, n: int, y, log: bool = False) -> float:
     if not np.all(np.isfinite(y)) or np.any(y < 0.0):
         raise ValueError("ordered points must be finite and nonnegative")
     zhat = _scaled_spacings(y, n=n)
-    jacobian = np.log(_descending(n)[: len(y)])
+    jacobian = np.log(_descending(n, len(y)))
     val = -math.inf if np.any(zhat <= 0.0) else float(np.sum(jacobian + model.log_density(zhat)))
     return val if log else math.exp(val)  # 0 off the ordered cone
 
@@ -125,6 +125,8 @@ def ml_fit(model_family: str, w: HeavySample, k: int, r: float | None = None) ->
     """
     if model_family == "gamma" and (r is None or not 0 < r < math.inf):
         raise ValueError("gamma family needs a finite positive shape r")
+    if model_family in ("exponential", "uniform") and r is not None:
+        raise ValueError(f"{model_family} family has no shape r")
     if model_family in ("exponential", "gamma"):
         return hill(w, k)
     if model_family == "uniform":

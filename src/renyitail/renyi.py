@@ -35,25 +35,33 @@ __all__ = [
 
 
 @functools.lru_cache(maxsize=8)
-def _descending(n: int) -> np.ndarray:
-    """c_l = n+1-l for l = 1..n, i.e. n, n-1, ..., 1, as a read-only float64 array.
-
-    Exact below 2^53, so dividing or multiplying by it gives the same bits
-    as by the int64 arange it replaces.
-    """
-    c = np.arange(n, 0, -1, dtype=np.float64)
+def _first_weights(n: int, k: int) -> np.ndarray:
+    c = np.arange(n, n - k, -1, dtype=np.float64)
     c.flags.writeable = False
     return c
+
+
+def _descending(n: int, k: int | None = None) -> np.ndarray:
+    """c_l = n+1-l for l = 1..k (k = n unless given), i.e. n, n-1, ..., n+1-k, as a
+    read-only float64 array.
+
+    Exact below 2^53, so dividing or multiplying by it gives the same bits
+    as by the int64 arange it replaces.  All n weights are cached; fewer are
+    built uncached in O(k), so k weights of a large n cost no O(n) array.
+    """
+    if k is None or k == n:
+        return _first_weights(n, n)
+    return _first_weights.__wrapped__(n, k)
 
 
 def _scaled_spacings(x: np.ndarray, floor: float = 0.0, n: int | None = None) -> np.ndarray:
     """The inverse of the construction on a checked nonempty float64 x: (n+1-k)(x_k - x_{k-1})
     for k = 1..len(x), x_0 = floor, n = len(x) unless given: the same bits as the
-    differences of [floor, x] times _descending(n)[:len(x)], with no concatenated copy."""
+    differences of [floor, x] times _descending(n, len(x)), with no concatenated copy."""
     zhat = np.empty_like(x)
     zhat[0] = x[0] - floor
     np.subtract(x[1:], x[:-1], out=zhat[1:])
-    zhat *= _descending(len(x) if n is None else n)[: len(x)]
+    zhat *= _descending(len(x) if n is None else n, len(x))
     return zhat
 
 

@@ -97,10 +97,17 @@ def test_module_builds_on_rand_models_alone(name):
     assert {module for module, _ in _package_imports(_tree(name))} == {"rand_models"}
 
 
+def test_large_deviations_builds_on_special_and_rand_models_alone():
+    # the closed forms only: every Monte Carlo job, the tail's included, is in experiments
+    tree = _tree("large_deviations")
+    assert {module for module, _ in _package_imports(tree)} == {"_special", "rand_models"}
+    assert _absolute_imports(tree).isdisjoint(_PROCESS_MODULES), _absolute_imports(tree)
+
+
 def test_experiments_takes_only_the_tail_helpers_from_large_deviations():
     names = {n for module, names in _package_imports(_tree("experiments"))
              if module == "large_deviations" for n in names}
-    assert names <= {"_tail_rate", "_tail_results", "exact_hill_tail"}, names
+    assert names <= {"_tail_rate", "exact_hill_tail"}, names
 
 
 def test_experiments_builds_x_through_the_construction():

@@ -311,6 +311,25 @@ def test_figure_one_rep_exit_1(figure_id, experiment, capsys):
     assert err == f"renyitail: error: {experiment} needs at least 2 replications, got 1\n"
 
 
+def test_figure_law_given_twice_exit_1(capsys):
+    # equal once parsed: the CSV header would repeat its columns, and JSON keep one pair
+    code, out, err = _run(capsys, "figure", "--id", "3", "--spec", "exp:gamma=0.5",
+                          "--spec", "EXP:gamma=0.50", "--n", "50", "--reps", "20")
+    assert code == 1
+    assert out == ""
+    assert err == "renyitail: error: law exp:gamma=0.5 is given twice\n"
+
+
+def test_figure_1_zero_variance_law_exit_1(capsys):
+    # the statistic divides by sd(Z) = 0; no numpy warning and no NaN column
+    code, out, err = _run(capsys, "figure", "--id", "1", "--spec", "bern:gamma=1",
+                          "--n", "60", "--reps", "20")
+    assert code == 1
+    assert out == ""
+    assert err == ("renyitail: error: variance_curve needs a law of positive variance, "
+                   "got bern:gamma=1.0\n")
+
+
 @pytest.mark.parametrize("flags, values", [
     (("--spec", "exp:gamma=400"), "C = 1, x_n = 775.585"),
     (("--spec", "exp:gamma=1", "--c", "1e308"), "C = 1e+308, x_n = 1.93896"),

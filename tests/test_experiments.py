@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from renyitail import engine
 from renyitail import estimators as est
 from renyitail import experiments as ex
-from renyitail import large_deviations as ld
 from renyitail import rand_models as rm
 from renyitail.estimators import h_function
 from renyitail.large_deviations import exact_hill_tail
@@ -53,6 +52,13 @@ def test_config_validation():
     for y in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), y=y)
+
+
+def test_config_rejects_a_law_given_twice():
+    for specs in (("exp:gamma=0.5", "EXP:gamma=0.50"),
+                  (rm.uniform(0.5), "bern:gamma=0.5", "unif:gamma=0.5")):
+        with pytest.raises(ValueError, match="given twice"):
+            ex.ExperimentConfig(experiment="coverage", specs=specs)
 
 
 def test_config_integer_settings():
@@ -134,6 +140,23 @@ def test_report_table_numpy_scalar_cells_emit_cleanly():
     assert lines[1] == "3,0.25"
     row = json.loads(t.to_json())["rows"][0]
     assert row["v"] == 0.25
+
+
+@pytest.mark.parametrize("experiment, settings", [
+    ("variance_curve", {"specs": THREE_LAWS, "n": 50, "reps": 5, "s_grid": (0.3, 0.6)}),
+    ("hill_plot", {"specs": ("pareto:gamma=0.5,c=1", "exp:gamma=0.5"), "n": 50, "reps": 2}),
+    ("coverage", {"specs": THREE_LAWS, "n": 50, "reps": 5, "k_grid": (10, 50)}),
+    ("exp_limit", {"specs": THREE_LAWS, "reps": 20, "n_grid": (5, 20)}),
+    ("ld_check", {"specs": ("exp:gamma=1",), "reps": 2000, "y": 1.5, "k_grid": (5, 400)}),
+])
+def test_figure_tables_hold_python_values(monkeypatch, experiment, settings):
+    # each figure converts its numpy columns once, so ReportTable finds no cell to convert
+    def no_numpy_cell(value):
+        raise AssertionError(f"numpy cell {value!r}")
+
+    monkeypatch.setattr(ex, "_plain", no_numpy_cell)
+    table = ex.run_experiment(ex.ExperimentConfig(experiment=experiment, **settings))
+    assert {type(v) for row in table.rows for v in row} <= {int, float, type(None)}
 
 
 def _reference_tables(columns, rows, meta):
@@ -380,10 +403,10 @@ _COUNTS = {
                                                                 start=v), "start", 0, None),
     "replication_map workers": (lambda v, ran: ex.replication_map(ran.append, 3, 7, "tag/c",
                                                                   workers=v), "workers", 1, None),
-    "mc_tail_logprob k": (lambda v, ran: ld.mc_tail_logprob(_EXP, v, 1.5, 10**5,
+    "mc_tail_logprob k": (lambda v, ran: ex.mc_tail_logprob(_EXP, v, 1.5, 10**5,
                                                             engine.SeedSpec(7), workers=2),
                           "k", 1, None),
-    "mc_tail_logprob reps": (lambda v, ran: ld.mc_tail_logprob(_EXP, 1, 1.5, v,
+    "mc_tail_logprob reps": (lambda v, ran: ex.mc_tail_logprob(_EXP, 1, 1.5, v,
                                                                engine.SeedSpec(7), workers=2),
                              "reps", 1, None),
     "config n": (lambda v, ran: _config(n=v), "n", 1, None),
@@ -908,7 +931,7 @@ def test_ld_check_rows_are_mc_tail_logprob(monkeypatch, workers):
     spec, seed = rm.exponential(1.0), engine.SeedSpec(11)
     declined = 0
     for k, mc, mc_se, events, insufficient, *_ in table.rows:
-        res = ld.mc_tail_logprob(spec, k, 1.5, 4000, seed)
+        res = ex.mc_tail_logprob(spec, k, 1.5, 4000, seed)
         assert (mc, mc_se, events, insufficient) == (
             res.estimate, res.std_error, res.events, int(res.insufficient)), k
         declined += res.insufficient

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from renyitail import engine
+from renyitail import experiments as ex
 from renyitail import large_deviations as ld
 from renyitail import rand_models as rm
 
@@ -296,7 +297,7 @@ def _irwin_hall_sf(n: int, x: int) -> float:
 
 
 def test_mc_tail_sure_event():
-    res = ld.mc_tail_logprob(rm.uniform(0.5), 10, -1.0, 2000, engine.SeedSpec(3))
+    res = ex.mc_tail_logprob(rm.uniform(0.5), 10, -1.0, 2000, engine.SeedSpec(3))
     assert res.estimate == 0.0
     assert res.events == res.reps == 2000
     assert not res.insufficient
@@ -304,7 +305,7 @@ def test_mc_tail_sure_event():
 
 def test_mc_tail_insufficient_guard_before_sampling():
     # exponential gamma=1 at y=2, k=200: expected events ~ reps * e^{-61}
-    res = ld.mc_tail_logprob(rm.exponential(1.0), 200, 2.0, 10**4, engine.SeedSpec(3))
+    res = ex.mc_tail_logprob(rm.exponential(1.0), 200, 2.0, 10**4, engine.SeedSpec(3))
     assert res.insufficient
     assert res.estimate is None
     assert res.std_error is None
@@ -312,19 +313,19 @@ def test_mc_tail_insufficient_guard_before_sampling():
 
 def test_mc_tail_rejects_nan():
     with pytest.raises(ValueError, match="NaN"):
-        ld.mc_tail_logprob(rm.exponential(1.0), 10, math.nan, 2000, engine.SeedSpec(3))
+        ex.mc_tail_logprob(rm.exponential(1.0), 10, math.nan, 2000, engine.SeedSpec(3))
 
 
 @pytest.mark.parametrize("k, reps", [(5.5, 2000), (5.0, 2000), (10, 1.5), (10, 2000.0)])
 def test_mc_tail_counts_must_be_integers(k, reps):
     with pytest.raises(ValueError, match="must be an integer"):
-        ld.mc_tail_logprob(rm.uniform(0.5), k, 0.6, reps, engine.SeedSpec(3))
+        ex.mc_tail_logprob(rm.uniform(0.5), k, 0.6, reps, engine.SeedSpec(3))
 
 
 def test_mc_tail_uniform_against_exact_enumeration():
     # mean of 20 uniforms above 0.6 <=> their sum of 20 above 12
     k, y, reps = 20, 0.6, 10**5
-    res = ld.mc_tail_logprob(rm.uniform(0.5), k, y, reps, engine.SeedSpec(5))
+    res = ex.mc_tail_logprob(rm.uniform(0.5), k, y, reps, engine.SeedSpec(5))
     assert not res.insufficient
     exact = math.log(_irwin_hall_sf(20, 12)) / k
     assert res.estimate == pytest.approx(exact, abs=4.0 * res.std_error)
@@ -334,7 +335,7 @@ def test_mc_tail_approaches_rate_function():
     # by k = 100 the normalized log-frequency sits within 0.05 of -I(y)
     k, y, reps = 100, 0.6, 4 * 10**5
     spec = rm.uniform(0.5)
-    res = ld.mc_tail_logprob(spec, k, y, reps, engine.SeedSpec(6))
+    res = ex.mc_tail_logprob(spec, k, y, reps, engine.SeedSpec(6))
     assert not res.insufficient
     assert abs(res.estimate - (-ld.rate_function(spec, y))) <= 0.05
     # and the exact enumeration agrees with the Monte Carlo value
@@ -372,7 +373,7 @@ def test_mc_tail_fold_matches_per_replication_mean(law):
                             for i in range(reps)])
         means = np.array([row.mean() for row in block])
         assert np.array_equal(np.add.reduce(block, axis=1) / k, means), k
-        assert ld.mc_tail_logprob(spec, k, y, reps, seed).events == np.sum(means >= y), k
+        assert ex.mc_tail_logprob(spec, k, y, reps, seed).events == np.sum(means >= y), k
 
 
 def test_mc_tail_memory_stays_flat():
@@ -380,7 +381,7 @@ def test_mc_tail_memory_stays_flat():
     would take 40 MB, a block of them 0.4 MB."""
     tracemalloc.start()
     try:
-        result = ld.mc_tail_logprob(rm.exponential(1.0), 50, 1.01, 100_000, engine.SeedSpec(3))
+        result = ex.mc_tail_logprob(rm.exponential(1.0), 50, 1.01, 100_000, engine.SeedSpec(3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -401,10 +402,10 @@ def test_mc_tail_events_match_mean_rule_on_fresh_streams(law, y, k):
                    for i in range(reps))
     assert 0 < expected < reps
     for workers in (1, 2):
-        assert ld.mc_tail_logprob(spec, k, y, reps, seed, workers=workers).events == expected
+        assert ex.mc_tail_logprob(spec, k, y, reps, seed, workers=workers).events == expected
 
 
 def test_mc_tail_deterministic_across_workers():
-    a = ld.mc_tail_logprob(rm.uniform(0.5), 20, 0.6, 20000, engine.SeedSpec(7), workers=1)
-    b = ld.mc_tail_logprob(rm.uniform(0.5), 20, 0.6, 20000, engine.SeedSpec(7), workers=4)
+    a = ex.mc_tail_logprob(rm.uniform(0.5), 20, 0.6, 20000, engine.SeedSpec(7), workers=1)
+    b = ex.mc_tail_logprob(rm.uniform(0.5), 20, 0.6, 20000, engine.SeedSpec(7), workers=4)
     assert a == b

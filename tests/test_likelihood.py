@@ -1,6 +1,7 @@
 """Densities of the construction and likelihood-based fitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,18 @@ def test_ordered_density_rejects_bad_input():
         lk.ordered_density(model, 2.5, [0.1])  # n is a coefficient (n-j+1)
 
 
+def test_ordered_density_takes_k_weights_of_a_large_n():
+    # the k Jacobian weights (n-j+1) of n = 1e7 are built alone, not as all n of them
+    model = lk.DensityModel(rm.exponential(1.0))
+    tracemalloc.start()
+    try:
+        lk.ordered_density(model, 10**7, [0.1, 0.2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_permuted_density_rejects_non_finite_points():
     # an infinite point is an input error, as NaN is, not a point of density 0
     model = lk.DensityModel(rm.exponential(1.0))
@@ -287,6 +300,15 @@ def test_ml_fit_uniform_hand_value():
     z = np.array([0.3, 0.1, 0.2, 0.8, 0.5])
     h = heavy_sample(z, 1.0)
     assert lk.ml_fit("uniform", h, 3) == pytest.approx(0.4, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["exponential", "uniform"])
+def test_ml_fit_rejects_a_shape_for_a_family_without_one(family):
+    # the CLI's rule for --r with these families
+    h = heavy_sample(np.array([0.3, 0.1, 0.2]), 1.0)
+    for r in (2.0, math.nan):
+        with pytest.raises(ValueError, match="no shape r"):
+            lk.ml_fit(family, h, 2, r=r)
 
 
 def test_ml_fit_unknown_family():
