@@ -25,12 +25,7 @@ from .experiments import (
     MCTailResult,
     ReportTable,
     mc_tail_logprob,
-    run_coverage,
-    run_exponential_limit,
     run_experiment,
-    run_hill_plot,
-    run_ld_check,
-    run_variance_curve,
 )
 from .large_deviations import (
     exact_hill_tail,

@@ -13,7 +13,7 @@ import io
 import json
 import math
 from contextlib import closing
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from itertools import chain
 
@@ -34,13 +34,8 @@ __all__ = [
     "default_s_grid",
     "default_k_grid",
     "default_n_grid",
-    "run_variance_curve",
-    "run_hill_plot",
-    "run_coverage",
-    "run_exponential_limit",
     "MCTailResult",
     "mc_tail_logprob",
-    "run_ld_check",
     "run_experiment",
 ]
 
@@ -63,6 +58,14 @@ def default_n_grid() -> tuple[int, ...]:
     return (50, 200, 2000)
 
 
+def _sequence(value, name: str) -> tuple:
+    """A sequence setting as a tuple: nonempty, and not one string or one number."""
+    seq = () if isinstance(value, str) or not hasattr(value, "__iter__") else tuple(value)
+    if not seq:
+        raise ValueError(f"{name} must be a nonempty sequence, got {value!r}")
+    return seq
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parameters of one experiment run; round-trips through to_text()."""
@@ -79,11 +82,10 @@ class ExperimentConfig:
     y: float | None = None
 
     def __post_init__(self):
-        if self.experiment not in _RUNNERS:
+        if self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        specs = tuple(parse_spec(s) if isinstance(s, str) else s for s in self.specs)
-        if not specs:
-            raise ValueError("at least one distribution spec is required")
+        specs = tuple(parse_spec(s) if isinstance(s, str) else s
+                      for s in _sequence(self.specs, "specs"))
         for i, spec in enumerate(specs):
             if spec in specs[:i]:  # its columns would repeat, and its streams run twice
                 raise ValueError(f"law {spec.canonical()} is given twice")
@@ -97,7 +99,7 @@ class ExperimentConfig:
         if self.y is not None and not math.isfinite(self.y):
             raise ValueError("threshold y must be finite")
         if self.s_grid is not None:
-            sg = tuple(float(s) for s in self.s_grid)
+            sg = tuple(float(s) for s in _sequence(self.s_grid, "s_grid"))
             if any(not 0.0 < s < 1.0 for s in sg):
                 raise ValueError("s grid must lie in (0, 1)")
             object.__setattr__(self, "s_grid", sg)
@@ -105,7 +107,19 @@ class ExperimentConfig:
             grid = getattr(self, name)
             if grid is not None:
                 entry = name.replace("_", " ") + " entry"
-                object.__setattr__(self, name, tuple(_index(m, entry, minimum) for m in grid))
+                object.__setattr__(self, name, tuple(_index(m, entry, minimum)
+                                                     for m in _sequence(grid, name)))
+        # the optional settings the experiment reads; their defaults are filled here,
+        # so to_text() is the config line its run records
+        reads = _EXPERIMENTS[self.experiment][1]
+        for name in ("s_grid", "k_grid", "n_grid", "y"):
+            if name not in reads:
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{self.experiment} does not read {name}")
+            elif getattr(self, name) is None:
+                if reads[name] is None:
+                    raise ValueError(f"threshold {name} is required")
+                object.__setattr__(self, name, reads[name](self.n))
 
     def to_text(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -115,9 +129,14 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("config text must be a JSON object")
         unknown = sorted(set(payload) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in payload]
+        if missing:
+            raise ValueError(f"config text lacks {', '.join(missing)}")
         return cls(**payload)  # __post_init__ turns the lists back into tuples
 
 
@@ -222,7 +241,7 @@ def _require_two_reps(cfg: ExperimentConfig) -> None:
         raise ValueError(f"{cfg.experiment} needs at least 2 replications, got {cfg.reps}")
 
 
-def run_variance_curve(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
+def _variance_curve(cfg: ExperimentConfig, workers: int) -> ReportTable:
     """Empirical variance of sqrt(n)(gamma_tilde(s) - gamma)/sd(Z) over the
     s grid, one column per spacing law, next to the theoretical h(s).
     """
@@ -232,9 +251,7 @@ def run_variance_curve(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
         if not spec.variance > 0.0:  # the statistic is scaled by 1/sd(Z)
             raise ValueError(f"{cfg.experiment} needs a law of positive variance, "
                              f"got {spec.canonical()}")
-    s_grid = cfg.s_grid if cfg.s_grid is not None else default_s_grid()
-    cfg = replace(cfg, s_grid=s_grid)
-    n = cfg.n
+    n, s_grid = cfg.n, cfg.s_grid
     idx, denom = estimators._quantile_terms(n, s_grid)
 
     def one_rep(spec, rng):
@@ -248,7 +265,7 @@ def run_variance_curve(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     return ReportTable(columns, _rows(s_grid, cols), _meta(cfg))
 
 
-def run_hill_plot(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
+def _hill_plot(cfg: ExperimentConfig, workers: int) -> ReportTable:
     """Hill trajectory gamma_hat(k), k = 1..n, one column per law.
 
     Spacing laws give their log-spacings straight from x = generalized_renyi(z),
@@ -267,16 +284,14 @@ def run_hill_plot(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     return ReportTable(columns, _rows(range(1, n + 1), trajs), _meta(cfg))
 
 
-def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
+def _coverage(cfg: ExperimentConfig, workers: int) -> ReportTable:
     """Fraction of replications whose interval covers gamma, per k and law,
     for both the spacing-variance and the self-normalized interval: the
     ``estimators.half_width`` intervals that ``renyitail estimate`` prints.
     """
-    k_grid = cfg.k_grid if cfg.k_grid is not None else default_k_grid(cfg.n)
-    cfg = replace(cfg, k_grid=k_grid)
     n = cfg.n
     # checked once here, not per replication: the spacing variance needs k >= 2
-    ks, kmax = estimators._check_k(n, k_grid, minimum=2)
+    ks, kmax = estimators._check_k(n, cfg.k_grid, minimum=2)
     idx, ksf = ks - 1, ks.astype(np.float64)
     unit = estimators.half_width(1.0, ks, cfg.eps)
 
@@ -290,7 +305,7 @@ def run_coverage(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
         freq = np.mean(vals, axis=0)
         cols += [freq[: len(ks)], freq[len(ks):]]
         columns += [f"{spec.canonical()}_spacing", f"{spec.canonical()}_self"]
-    return ReportTable(columns, _rows(k_grid, cols), _meta(cfg))
+    return ReportTable(columns, _rows(cfg.k_grid, cols), _meta(cfg))
 
 
 def _ks_statistic(v: np.ndarray, cdf) -> float:
@@ -301,7 +316,7 @@ def _ks_statistic(v: np.ndarray, cdf) -> float:
     return float(max(np.max(np.arange(1.0, n + 1) / n - f), np.max(f - np.arange(0.0, n) / n)))
 
 
-def run_exponential_limit(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
+def _exponential_limit(cfg: ExperimentConfig, workers: int) -> ReportTable:
     """Distance of a random coordinate X_{D,n} from its exponential limit.
 
     Per n and spacing law: one-sample KS of X_{D1,n} against Exp(gamma), the
@@ -311,8 +326,7 @@ def run_exponential_limit(cfg: ExperimentConfig, workers: int = 1) -> ReportTabl
     """
     _require_spacing_laws(cfg)
     _require_two_reps(cfg)
-    n_grid = cfg.n_grid if cfg.n_grid is not None else default_n_grid()
-    cfg = replace(cfg, n_grid=n_grid)
+    n_grid = cfg.n_grid
     exact = {spec: cross_moment_recursion(spec, max(n_grid)) for spec in cfg.specs}
     columns = ["n", "ks_critical"]
     for spec in cfg.specs:
@@ -404,7 +418,7 @@ def mc_tail_logprob(spec: DistributionSpec, k: int, y: float, reps: int,
     return result
 
 
-def run_ld_check(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
+def _ld_check(cfg: ExperimentConfig, workers: int) -> ReportTable:
     """Tail decay of the Hill estimator against the rate-function limit.
 
     Per k: the Monte Carlo estimate of (1/k) log P(hill >= y) (tagged, never
@@ -414,11 +428,7 @@ def run_ld_check(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     if len(cfg.specs) != 1:
         raise ValueError("the large-deviation check runs one spacing law at a time")
     _require_spacing_laws(cfg)
-    if cfg.y is None:
-        raise ValueError("threshold y is required")
     spec = cfg.specs[0]
-    k_grid = cfg.k_grid if cfg.k_grid is not None else (5, 10, 20, 50, 100, 200, 400)
-    cfg = replace(cfg, k_grid=tuple(k_grid))
     limit = -_tail_rate(spec, cfg.y)
     columns = ["k", "mc", "mc_se", "events", "insufficient", "exact", "limit"]
     # mc_tail_logprob per k, from one engine run that forks its worker processes once
@@ -432,14 +442,17 @@ def run_ld_check(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
     return ReportTable(columns, rows, _meta(cfg))
 
 
-_RUNNERS = {
-    "variance_curve": run_variance_curve,
-    "hill_plot": run_hill_plot,
-    "coverage": run_coverage,
-    "exp_limit": run_exponential_limit,
-    "ld_check": run_ld_check,
+# per experiment: its runner, and the optional settings it reads, each with its
+# default as a function of n (None: the setting is required)
+_EXPERIMENTS = {
+    "variance_curve": (_variance_curve, {"s_grid": lambda n: default_s_grid()}),
+    "hill_plot": (_hill_plot, {}),
+    "coverage": (_coverage, {"k_grid": default_k_grid}),
+    "exp_limit": (_exponential_limit, {"n_grid": lambda n: default_n_grid()}),
+    "ld_check": (_ld_check, {"k_grid": lambda n: (5, 10, 20, 50, 100, 200, 400), "y": None}),
 }
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ReportTable:
-    return _RUNNERS[cfg.experiment](cfg, workers=workers)
+    """Run the experiment ``cfg`` names; the table's meta records ``cfg.to_text()``."""
+    return _EXPERIMENTS[cfg.experiment][0](cfg, workers)

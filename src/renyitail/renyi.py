@@ -73,8 +73,8 @@ class HeavySample:
     w: np.ndarray
 
     def __post_init__(self):
-        if not self.scale_c > 0:
-            raise ValueError("scale C must be positive")
+        if not 0 < self.scale_c < math.inf:
+            raise ValueError("scale C must be positive and finite")
         w = np.asarray(self.w, dtype=np.float64)
         if w.ndim != 1 or len(w) < 1:
             raise ValueError("w must be a nonempty 1-d sequence")
@@ -132,7 +132,8 @@ def heavy_sample(z, scale_c: float) -> HeavySample:
     x = _model_x(z)
     with np.errstate(over="ignore"):  # reported below, not warned
         w = scale_c * np.exp(x)
-    if w[-1] == math.inf:  # w is nondecreasing, so an overflow reaches its end
+    # w is nondecreasing, so an overflow reaches its end; HeavySample rejects an infinite C
+    if w[-1] == math.inf and math.isfinite(scale_c):
         raise ValueError(f"C*exp(x_n) overflows float64: C = {scale_c:g}, x_n = {float(x[-1]):g}")
     return HeavySample(scale_c=scale_c, w=w)
 

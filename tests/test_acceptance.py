@@ -40,7 +40,7 @@ def test_criterion_2_variance_curve():
     cfg = ex.ExperimentConfig(
         experiment="variance_curve", specs=THREE_LAWS, n=1000, reps=1000,
         master_seed=3, s_grid=(0.5, 0.797, 0.95))
-    table = ex.run_variance_curve(cfg)
+    table = ex.run_experiment(cfg)
     worst = 0.0
     for row in table.rows:
         h = row[1]
@@ -53,7 +53,7 @@ def test_criterion_3_coverage():
     cfg = ex.ExperimentConfig(
         experiment="coverage", specs=THREE_LAWS, n=2000, reps=2000,
         eps=0.1, master_seed=2026, k_grid=(2000,))
-    table = ex.run_coverage(cfg)
+    table = ex.run_experiment(cfg)
     row = dict(zip(table.columns, table.rows[0]))
     covs = {law: row[f"{law}_spacing"] for law in THREE_LAWS}
     ok = all(0.88 <= c <= 0.92 for c in covs.values())
@@ -98,7 +98,7 @@ def test_criterion_6_exponential_limit():
     cfg = ex.ExperimentConfig(
         experiment="exp_limit", specs=("unif:gamma=0.5",), reps=10**5,
         master_seed=606, n_grid=(2000,))
-    table = ex.run_exponential_limit(cfg)
+    table = ex.run_experiment(cfg)
     ks = dict(zip(table.columns, table.rows[0]))["unif:gamma=0.5_ks"]
     psi = renyi.psi_n(rm.uniform(0.5), 2000, 1.0)
     psi_gap = abs(psi - 1.0 / (1.0 - 0.5j))

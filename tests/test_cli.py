@@ -14,7 +14,9 @@ import sys
 import pytest
 
 import renyitail
-from renyitail.cli import _BLOCK_ROWS, _resolve_flags, _write_numeric_rows, build_parser, main
+from renyitail import experiments as ex
+from renyitail.cli import (_BLOCK_ROWS, _FIGURES, _IGNORED_FLAGS, _resolve_flags,
+                           _write_numeric_rows, build_parser, main)
 from renyitail.engine import SeedSpec
 from renyitail.rand_models import draw, parse_spec
 from renyitail.renyi import heavy_sample
@@ -604,6 +606,13 @@ def test_ignored_flag_exit_2(argv, message, capsys):
         main(list(argv))
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("figure_id", list(_FIGURES))
+def test_figure_y_flag_is_ignored_where_the_experiment_does_not_read_y(figure_id):
+    # the CLI's usage rule and the library's table of settings must not drift apart
+    reads = ex._EXPERIMENTS[_FIGURES[figure_id][0]][1]
+    assert ("y" in _IGNORED_FLAGS[("figure", figure_id)]) == ("y" not in reads)
 
 
 def test_flags_the_method_reads_are_accepted(tmp_path, capsys):

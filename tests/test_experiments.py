@@ -52,6 +52,57 @@ def test_config_validation():
     for y in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), y=y)
+    with pytest.raises(ValueError, match="threshold y is required"):
+        ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), k_grid=(5,))
+    # one string is not a list of laws, nor one number a grid
+    with pytest.raises(ValueError, match="specs must be a nonempty sequence"):
+        ex.ExperimentConfig(experiment="coverage", specs="exp:gamma=0.5")
+    for grid in ({"k_grid": 5}, {"k_grid": "5"}):
+        with pytest.raises(ValueError, match="k_grid must be a nonempty sequence"):
+            ex.ExperimentConfig(experiment="coverage", specs=THREE_LAWS, **grid)
+    with pytest.raises(ValueError, match="s_grid must be a nonempty sequence"):
+        ex.ExperimentConfig(experiment="variance_curve", specs=THREE_LAWS, s_grid=0.5)
+    with pytest.raises(ValueError, match="n_grid must be a nonempty sequence"):
+        ex.ExperimentConfig(experiment="exp_limit", specs=THREE_LAWS, n_grid=50)
+
+
+@pytest.mark.parametrize("experiment, grid", [
+    ("variance_curve", {"s_grid": ()}), ("coverage", {"k_grid": ()}),
+    ("exp_limit", {"n_grid": []}), ("ld_check", {"k_grid": (), "y": 1.5})],
+    ids=["variance_curve", "coverage", "exp_limit", "ld_check"])
+def test_config_rejects_an_empty_grid(experiment, grid):
+    # an empty grid has no row to report: ld_check returned a header alone,
+    # and the others failed only once they ran, each with its own message
+    with pytest.raises(ValueError, match="_grid must be a nonempty sequence"):
+        ex.ExperimentConfig(experiment=experiment, specs=("exp:gamma=1",), **grid)
+
+
+# the optional settings each experiment reads; any other is rejected
+_READS = {"variance_curve": {"s_grid"}, "hill_plot": set(), "coverage": {"k_grid"},
+          "exp_limit": {"n_grid"}, "ld_check": {"k_grid", "y"}}
+_SETTINGS = {"s_grid": (0.5,), "k_grid": (5,), "n_grid": (50,), "y": 1.5}
+
+
+@pytest.mark.parametrize("experiment, name", [
+    (experiment, name) for experiment, reads in _READS.items()
+    for name in _SETTINGS if name not in reads])
+def test_config_rejects_a_setting_its_experiment_does_not_read(monkeypatch, experiment, name):
+    monkeypatch.setattr(ex, "_replications", None)  # a fork attempt would raise TypeError
+    settings = {k: v for k, v in _SETTINGS.items() if k in _READS[experiment]}
+    with pytest.raises(ValueError, match=f"^{experiment} does not read {name}$"):
+        ex.run_experiment(ex.ExperimentConfig(experiment=experiment, specs=("exp:gamma=1",),
+                                              **settings, **{name: _SETTINGS[name]}), workers=2)
+
+
+@pytest.mark.parametrize("experiment", sorted(_READS))
+def test_run_records_the_config_it_was_given(experiment):
+    """With every grid left at its default, the config line a run records is
+    the config's own text, and reads back as the same config."""
+    cfg = ex.ExperimentConfig(experiment=experiment, specs=("exp:gamma=1",), n=50, reps=2,
+                              y=1.5 if "y" in _READS[experiment] else None)
+    line = ex.run_experiment(cfg).meta["config"]
+    assert line == cfg.to_text()
+    assert ex.ExperimentConfig.from_text(line) == cfg
 
 
 def test_config_rejects_a_law_given_twice():
@@ -73,11 +124,11 @@ def test_config_integer_settings():
 
 
 def test_coverage_k_range_checked_by_the_run():
-    # the config does not know the k range; run_coverage checks it against n
+    # the config does not know the k range; the coverage run checks it against n
     cfg = ex.ExperimentConfig(experiment="coverage", specs=THREE_LAWS, n=100, reps=10,
                               k_grid=(20, 101))
     with pytest.raises(ValueError, match="k must lie in"):
-        ex.run_coverage(cfg)
+        ex.run_experiment(cfg)
 
 
 def test_config_from_text_rejects_unknown_keys():
@@ -86,13 +137,20 @@ def test_config_from_text_rejects_unknown_keys():
     payload.update(bogus=1, avg_seeds=1)
     with pytest.raises(ValueError, match="unknown config keys: avg_seeds, bogus"):
         ex.ExperimentConfig.from_text(json.dumps(payload))
+    for text in ("[]", '"coverage"', "null"):
+        with pytest.raises(ValueError, match="config text must be a JSON object"):
+            ex.ExperimentConfig.from_text(text)
+    for text, missing in (("{}", "experiment, specs"), ('{"experiment": "coverage"}', "specs"),
+                          ('{"specs": ["exp:gamma=1"]}', "experiment")):
+        with pytest.raises(ValueError, match=f"config text lacks {missing}$"):
+            ex.ExperimentConfig.from_text(text)
 
 
 def test_variance_curve_rejects_iid_laws():
     cfg = ex.ExperimentConfig(experiment="variance_curve",
                               specs=("pareto:gamma=0.5,c=1",), n=100, reps=10)
     with pytest.raises(ValueError):
-        ex.run_variance_curve(cfg)
+        ex.run_experiment(cfg)
 
 
 def test_report_table_row_width_checked():
@@ -447,7 +505,8 @@ def test_every_count_is_an_integer_at_least_its_minimum(site, monkeypatch):
 
 @pytest.mark.parametrize("seed", [np.uint64(7), np.int64(7), 7], ids=repr)
 def test_numpy_integer_seeds_act_as_ints(seed):
-    cfg = ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), master_seed=seed)
+    cfg = ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), y=1.5,
+                              master_seed=seed)
     assert type(cfg.master_seed) is int
     assert json.loads(cfg.to_text())["master_seed"] == 7
     assert ex.ExperimentConfig.from_text(cfg.to_text()) == cfg
@@ -654,7 +713,7 @@ def test_one_fork_run_holds_one_law_at_a_time(monkeypatch):
     def peak_mb():
         tracemalloc.start()
         try:
-            table = ex.run_variance_curve(cfg, workers=2)
+            table = ex.run_experiment(cfg, workers=2)
             return tracemalloc.get_traced_memory()[1] / 2**20, table.to_csv()
         finally:
             tracemalloc.stop()
@@ -705,7 +764,7 @@ def test_variance_curve_values():
     cfg = ex.ExperimentConfig(
         experiment="variance_curve", specs=THREE_LAWS, n=1000, reps=1000,
         master_seed=3, s_grid=(0.5, 0.797, 0.95))
-    table = ex.run_variance_curve(cfg)
+    table = ex.run_experiment(cfg)
     assert table.columns == ["s", "h", *THREE_LAWS]
     assert len(table.rows) == 3
     for row in table.rows:
@@ -715,13 +774,15 @@ def test_variance_curve_values():
             assert abs(v - h) <= 0.10 * h
 
 
-@pytest.mark.parametrize("experiment", ["variance_curve", "exp_limit"])
-def test_variance_runs_reject_a_single_rep(monkeypatch, experiment):
+@pytest.mark.parametrize("experiment, grid", [("variance_curve", {"s_grid": (0.5,)}),
+                                              ("exp_limit", {"n_grid": (50,)})],
+                         ids=["variance_curve", "exp_limit"])
+def test_variance_runs_reject_a_single_rep(monkeypatch, experiment, grid):
     # one replication has no sample variance (figure 1) or correlation (t1):
     # the run refuses it before it forks
     monkeypatch.setattr(ex, "_replications", None)  # a fork attempt would raise TypeError
     cfg = ex.ExperimentConfig(experiment=experiment, specs=("unif:gamma=0.5",), n=50, reps=1,
-                              master_seed=5, s_grid=(0.5,), n_grid=(50,))
+                              master_seed=5, **grid)
     with pytest.raises(ValueError, match="at least 2 replications"):
         ex.run_experiment(cfg, workers=2)
 
@@ -730,7 +791,7 @@ def test_variance_curve_ratio_over_grid():
     cfg = ex.ExperimentConfig(
         experiment="variance_curve", specs=("unif:gamma=0.5",), n=1000, reps=1000,
         master_seed=12)
-    table = ex.run_variance_curve(cfg)
+    table = ex.run_experiment(cfg)
     assert len(table.rows) == 790
     ratios = [row[2] / row[1] for row in table.rows]
     assert 0.93 <= float(np.mean(ratios)) <= 1.07
@@ -740,7 +801,7 @@ def test_hill_plot_full_k_unbiased():
     cfg = ex.ExperimentConfig(
         experiment="hill_plot", specs=THREE_LAWS, n=2000, reps=100,
         master_seed=21)
-    table = ex.run_hill_plot(cfg)
+    table = ex.run_experiment(cfg)
     assert len(table.rows) == 2000
     last = table.rows[-1]
     assert last[0] == 2000
@@ -752,7 +813,7 @@ def test_hill_plot_hall_bias_grows_with_k():
     cfg = ex.ExperimentConfig(
         experiment="hill_plot", specs=("hall",), n=5000, reps=100,
         master_seed=22)
-    table = ex.run_hill_plot(cfg)
+    table = ex.run_experiment(cfg)
     col = table.column("hall")
     assert abs(col[2500 - 1] - 0.5) > abs(col[50 - 1] - 0.5)
 
@@ -761,7 +822,7 @@ def test_coverage_nominal_level():
     cfg = ex.ExperimentConfig(
         experiment="coverage", specs=("exp:gamma=0.5",), n=2000, reps=2000,
         eps=0.1, master_seed=23, k_grid=(2000,))
-    table = ex.run_coverage(cfg)
+    table = ex.run_experiment(cfg)
     cov = table.rows[0][1]
     assert 0.88 <= cov <= 0.92
 
@@ -770,7 +831,7 @@ def test_coverage_extreme_level_near_zero():
     cfg = ex.ExperimentConfig(
         experiment="coverage", specs=("exp:gamma=0.5",), n=200, reps=400,
         eps=0.999, master_seed=24, k_grid=(200,))
-    table = ex.run_coverage(cfg)
+    table = ex.run_experiment(cfg)
     assert table.rows[0][1] <= 0.01
 
 
@@ -778,7 +839,7 @@ def test_coverage_iid_pareto_interval_methods_agree():
     cfg = ex.ExperimentConfig(
         experiment="coverage", specs=("pareto:gamma=0.5,c=1",), n=2000, reps=2000,
         eps=0.1, master_seed=25, k_grid=(1000,))
-    table = ex.run_coverage(cfg)
+    table = ex.run_experiment(cfg)
     row = table.rows[0]
     assert abs(row[1] - row[2]) < 0.02
 
@@ -789,26 +850,26 @@ def test_coverage_hall_spacing_interval_at_small_k():
     # same top k as the Hill estimate
     cfg = ex.ExperimentConfig(experiment="coverage", specs=("hall",), n=2000, reps=400,
                               master_seed=7, k_grid=(20, 50))
-    for cov in ex.run_coverage(cfg).column("hall_spacing"):
+    for cov in ex.run_experiment(cfg).column("hall_spacing"):
         assert cov >= 0.75
 
 
 def test_coverage_rejects_k_below_two():
     with pytest.raises(ValueError):
-        ex.run_coverage(ex.ExperimentConfig(
+        ex.run_experiment(ex.ExperimentConfig(
             experiment="coverage", specs=("exp:gamma=0.5",), n=100, reps=10,
             k_grid=(1, 50)))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_coverage_kernels_match_public_estimators(workers):
-    # run_coverage checks its grid once and calls the private kernels; the
+    # the coverage run checks its grid once and calls the private kernels; the
     # public hill/spacing_sigma on the same streams must give the same table,
     # and the kernels the same values bit for bit
     n, k_grid = 60, (2, 7, 30, 60)
     cfg = ex.ExperimentConfig(experiment="coverage", specs=("unif:gamma=0.5", "pareto:gamma=0.5,c=1"),
                               n=n, reps=30, master_seed=41, k_grid=k_grid)
-    table = ex.run_coverage(cfg, workers=workers)
+    table = ex.run_experiment(cfg, workers=workers)
     ks = np.array(k_grid)
     unit = est.half_width(1.0, ks, cfg.eps)
 
@@ -836,7 +897,7 @@ def test_exponential_limit_exact_law_and_convergence():
     cfg = ex.ExperimentConfig(
         experiment="exp_limit", specs=("exp:gamma=0.5", "unif:gamma=0.5"),
         reps=reps, master_seed=26, n_grid=(50, 200, 2000))
-    table = ex.run_exponential_limit(cfg)
+    table = ex.run_experiment(cfg)
     assert len(table.rows) == 3
     ks_exp = table.column("exp:gamma=0.5_ks")
     crit = table.column("ks_critical")
@@ -854,7 +915,7 @@ def test_exponential_limit_cross_moments():
     cfg = ex.ExperimentConfig(
         experiment="exp_limit", specs=("unif:gamma=0.5",),
         reps=reps, master_seed=27, n_grid=(2000,))
-    table = ex.run_exponential_limit(cfg)
+    table = ex.run_experiment(cfg)
     row = dict(zip(table.columns, table.rows[0]))
     assert abs(row["unif:gamma=0.5_corr"]) <= 0.02
     exact = float(cross_moment_recursion(rm.uniform(0.5), 2000)[2000])
@@ -871,7 +932,7 @@ def test_variance_curve_builds_x_by_generalized_renyi(workers):
     n, s_grid = 200, (0.1, 0.5, 0.797, 0.95)
     cfg = ex.ExperimentConfig(experiment="variance_curve", specs=THREE_LAWS, n=n, reps=4,
                               master_seed=13, s_grid=s_grid)
-    table = ex.run_variance_curve(cfg, workers=workers)
+    table = ex.run_experiment(cfg, workers=workers)
     for spec in cfg.specs:
         vals = _reference(lambda rng: est.quantile_estimator(
             generalized_renyi(rm.draw(spec, rng, n)), s_grid), cfg.reps, cfg.master_seed,
@@ -887,7 +948,7 @@ def test_exponential_limit_builds_x_by_generalized_renyi(workers):
     n_grid = (50, 200)
     cfg = ex.ExperimentConfig(experiment="exp_limit", specs=("unif:gamma=0.5", "exp:gamma=0.5"),
                               reps=4, master_seed=13, n_grid=n_grid)
-    table = ex.run_exponential_limit(cfg, workers=workers)
+    table = ex.run_experiment(cfg, workers=workers)
 
     def pair(spec, m, rng):
         x = generalized_renyi(rm.draw(spec, rng, m))
@@ -907,7 +968,7 @@ def test_ld_check_columns_and_oracles():
     cfg = ex.ExperimentConfig(
         experiment="ld_check", specs=("exp:gamma=1",), reps=20000,
         master_seed=28, k_grid=(5, 20, 200), y=2.0)
-    table = ex.run_ld_check(cfg)
+    table = ex.run_experiment(cfg)
     assert table.columns == ["k", "mc", "mc_se", "events", "insufficient", "exact", "limit"]
     rows = {row[0]: dict(zip(table.columns, row)) for row in table.rows}
     limit = -(1.0 - math.log(2.0))
@@ -927,7 +988,7 @@ def test_ld_check_rows_are_mc_tail_logprob(monkeypatch, workers):
     monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
     cfg = ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), y=1.5,
                               reps=4000, master_seed=11)
-    table = ex.run_ld_check(cfg, workers=workers)
+    table = ex.run_experiment(cfg, workers=workers)
     spec, seed = rm.exponential(1.0), engine.SeedSpec(11)
     declined = 0
     for k, mc, mc_se, events, insufficient, *_ in table.rows:
@@ -941,11 +1002,11 @@ def test_ld_check_rows_are_mc_tail_logprob(monkeypatch, workers):
 
 def test_ld_check_requires_single_spacing_law():
     with pytest.raises(ValueError):
-        ex.run_ld_check(ex.ExperimentConfig(
+        ex.run_experiment(ex.ExperimentConfig(
             experiment="ld_check", specs=("exp:gamma=1", "unif:gamma=0.5"),
             reps=100, y=2.0))
     with pytest.raises(ValueError):
-        ex.run_ld_check(ex.ExperimentConfig(
+        ex.run_experiment(ex.ExperimentConfig(
             experiment="ld_check", specs=("exp:gamma=1",), reps=100))  # y missing
 
 
@@ -974,7 +1035,7 @@ def test_every_experiment_bit_identical_across_workers(cfg):
 
 def test_meta_echoes_config_and_seed():
     cfg = _SMALL_CONFIGS[0]
-    table = ex.run_variance_curve(cfg)
+    table = ex.run_experiment(cfg)
     assert table.meta["master_seed"] == 31
     echoed = ex.ExperimentConfig.from_text(table.meta["config"])
     assert echoed.experiment == "variance_curve"

@@ -25,7 +25,7 @@ def test_critical_value_one_percent():
 def test_t1_table_reads_the_critical_value():
     cfg = ex.ExperimentConfig(experiment="exp_limit", specs=("exp:gamma=0.5",), reps=50,
                               master_seed=3, n_grid=(5, 10))
-    assert ex.run_exponential_limit(cfg).column("ks_critical") == [_ks_critical(50)] * 2
+    assert ex.run_experiment(cfg).column("ks_critical") == [_ks_critical(50)] * 2
 
 
 def test_critical_value_tracks_rejection_rate():

@@ -72,9 +72,11 @@ def test_heavy_sample_rejects_negative_spacings():
 
 
 def test_heavy_sample_rejects_bad_scale():
-    for c in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="scale C must be positive"):
+    for c in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale C must be positive and finite"):
             renyi.heavy_sample([0.5, 0.1], c)
+        with pytest.raises(ValueError, match="scale C must be positive and finite"):
+            renyi.HeavySample(c, np.array([1.0, 2.0]))
 
 
 def test_heavy_sample_accepts_negative_zero_spacing():
