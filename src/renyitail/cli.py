@@ -21,6 +21,7 @@ import numpy as np
 from . import estimators, likelihood
 from .engine import ReplicationError, SeedSpec
 from .experiments import (
+    _EXPERIMENTS,
     DEFAULT_SEED,
     ExperimentConfig,
     ReportTable,
@@ -38,11 +39,11 @@ Full schemas per subcommand are documented in docs/formats.md.
 """
 
 _BLOCK_ROWS = 2**14  # simulate's rows converted, formatted and written per block
+_FIGURE_SETTINGS = ("n", "reps", "eps", "y")  # figure flags that set a config setting
 
 # per figure id: experiment, default laws, and the ExperimentConfig settings at
 # desk scale and at the published scale behind --paper-scale; the flags given
-# override them, and ExperimentConfig's own defaults fill in the rest (t1 runs
-# its own n grid, so its n is the largest n of that grid)
+# override them, and the experiment's own defaults fill in the rest
 _FIGURES = {
     "1": ("variance_curve", ["unif:gamma=0.5", "bern:gamma=0.5", "exp:gamma=0.5"],
           {"n": 1000, "reps": 1000}, {"n": 1000, "reps": 1000}),
@@ -52,7 +53,7 @@ _FIGURES = {
     "3": ("coverage", ["unif:gamma=0.5", "bern:gamma=0.5", "exp:gamma=0.5"],
           {"n": 2000, "reps": 2000}, {"n": 5000, "reps": 10000}),
     "t1": ("exp_limit", ["unif:gamma=0.5", "bern:gamma=0.5", "exp:gamma=0.5"],
-           {"n": 2000, "reps": 20000}, {"n": 2000, "reps": 100000}),
+           {"reps": 20000}, {"reps": 100000}),
     "ld": ("ld_check", ["exp:gamma=1"],
            {"n": 2000, "reps": 100000, "y": 1.5}, {"n": 5000, "reps": 1000000, "y": 1.5}),
 }
@@ -62,39 +63,22 @@ class DataError(Exception):
     """Bad input data (exit code 1)."""
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _flag_type(convert, holds, expected: str):
+    """An argparse type: ``convert(text)``, a usage error (exit 2) unless it ``holds``."""
+    def parse(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
-    return value
-
-
-def _unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a value in (0, 1), got {text}")
-    return value
-
-
-def _seed_int(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"expected an integer in 0..2**64-1, got {text}")
-    return value
+_positive_int = _flag_type(int, lambda v: v >= 1, "a positive integer")
+_positive_float = _flag_type(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_finite_float = _flag_type(float, math.isfinite, "a finite number")
+_unit_float = _flag_type(float, lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
+_seed_int = _flag_type(int, lambda v: 0 <= v < 2**64, "an integer in 0..2**64-1")
 
 
 def _spec_arg(text: str):
@@ -178,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# flags each choice ignores, and the defaults of the flags it reads
+# flags each choice ignores (a figure ignores those its experiment does not
+# read), and the defaults of the flags it reads
 _IGNORED_FLAGS = {
     ("estimate", "hill"): ("s",),
     ("estimate", "quantile"): ("k", "interval"),
@@ -187,13 +172,6 @@ _IGNORED_FLAGS = {
     ("fit", "uniform"): ("r",),
     ("rate", "iid"): ("r",),
     ("rate", None): ("r", "c"),
-    # t1 reads its own n grid; --n with ld is ignored too, but the benchmark
-    # workload mc_tiny_reps passes it, so it stays accepted for now
-    ("figure", "1"): ("eps", "y"),
-    ("figure", "2"): ("eps", "y"),
-    ("figure", "3"): ("y",),
-    ("figure", "t1"): ("n", "eps", "y"),
-    ("figure", "ld"): ("eps",),
 }
 _FLAG_DEFAULTS = {"estimate": {"s": 0.797, "interval": "spacing", "eps": 0.1},
                   "rate": {"r": 1.0}}
@@ -204,7 +182,11 @@ def _resolve_flags(args, parser) -> None:
     then fill in the defaults it reads."""
     key = {"estimate": "method", "figure": "id"}.get(args.command, "family")
     choice = getattr(args, key, None)
-    for name in _IGNORED_FLAGS.get((args.command, choice), ()):
+    ignored = _IGNORED_FLAGS.get((args.command, choice), ())
+    if args.command == "figure":  # the settings its experiment does not read
+        reads = _EXPERIMENTS[_FIGURES[choice][0]][1]
+        ignored = [name for name in _FIGURE_SETTINGS if name not in reads]
+    for name in ignored:
         if getattr(args, name) is not None:
             what = f"with --{key} {choice}" if choice else f"without --{key}"
             parser.error(f"--{name} has no effect {what}")
@@ -415,7 +397,7 @@ def _cmd_rate(args, argv, parser) -> int:
 def _cmd_figure(args, argv) -> int:
     experiment, default_specs, desk, paper = _FIGURES[args.id]
     settings = dict(paper if args.paper_scale else desk)
-    settings.update((name, getattr(args, name)) for name in ("n", "reps", "eps", "y")
+    settings.update((name, getattr(args, name)) for name in _FIGURE_SETTINGS
                     if getattr(args, name) is not None)
     cfg = ExperimentConfig(experiment=experiment, specs=tuple(args.spec or default_specs),
                            master_seed=_effective_seed(args), **settings)

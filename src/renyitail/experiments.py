@@ -23,7 +23,7 @@ from . import estimators
 from ._special import KS_CRITICAL_1PCT
 from .engine import SeedSpec, _Job, _replications, replication_map
 from .large_deviations import _tail_rate, exact_hill_tail
-from .rand_models import DistributionSpec, _index, draw, parse_spec, support
+from .rand_models import DistributionSpec, _index, _real, draw, parse_spec, support
 from .renyi import HeavySample, _model_zhat, cross_moment_recursion, generalized_renyi
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "replication_map",
     "default_s_grid",
     "default_k_grid",
-    "default_n_grid",
     "MCTailResult",
     "mc_tail_logprob",
     "run_experiment",
@@ -54,10 +53,6 @@ def default_k_grid(n: int) -> tuple[int, ...]:
     return tuple(int(k) for k in ks)
 
 
-def default_n_grid() -> tuple[int, ...]:
-    return (50, 200, 2000)
-
-
 def _sequence(value, name: str) -> tuple:
     """A sequence setting as a tuple: nonempty, and not one string or one number."""
     seq = () if isinstance(value, str) or not hasattr(value, "__iter__") else tuple(value)
@@ -66,63 +61,70 @@ def _sequence(value, name: str) -> tuple:
     return seq
 
 
+def _unit(value, name: str) -> float:
+    value = _real(value, name)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1)")
+    return value
+
+
+# how ExperimentConfig checks and stores each setting, in field order
+_SETTINGS = {
+    "n": lambda v: _index(v, "n", 1),
+    "reps": lambda v: _index(v, "reps", 1),
+    "eps": lambda v: _unit(v, "eps"),
+    "master_seed": lambda v: SeedSpec(v).master_seed,  # SeedSpec owns the seed rule
+    "s_grid": lambda v: tuple(_unit(s, "s grid entry") for s in _sequence(v, "s_grid")),
+    "k_grid": lambda v: tuple(_index(m, "k grid entry", 1) for m in _sequence(v, "k_grid")),
+    "n_grid": lambda v: tuple(_index(m, "n grid entry", 2) for m in _sequence(v, "n_grid")),
+    "y": lambda v: _real(v, "threshold y"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters of one experiment run; round-trips through to_text()."""
+    """Parameters of one experiment run; round-trips through to_text().  The
+    experiment's ``_EXPERIMENTS`` entry fills in each setting it reads."""
 
     experiment: str
     specs: tuple[DistributionSpec, ...]
-    n: int = 2000
-    reps: int = 2000
-    eps: float = 0.1
-    master_seed: int = DEFAULT_SEED
+    n: int | None = None
+    reps: int | None = None
+    eps: float | None = None
+    master_seed: int | None = None
     s_grid: tuple[float, ...] | None = None
     k_grid: tuple[int, ...] | None = None
     n_grid: tuple[int, ...] | None = None
     y: float | None = None
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
+        if not isinstance(self.experiment, str) or self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         specs = tuple(parse_spec(s) if isinstance(s, str) else s
                       for s in _sequence(self.specs, "specs"))
         for i, spec in enumerate(specs):
+            if not isinstance(spec, DistributionSpec):
+                raise ValueError(f"specs entry {spec!r} is neither a law nor its text")
             if spec in specs[:i]:  # its columns would repeat, and its streams run twice
                 raise ValueError(f"law {spec.canonical()} is given twice")
         object.__setattr__(self, "specs", specs)
-        # SeedSpec owns the seed rule; the config keeps its plain int for to_text()
-        object.__setattr__(self, "master_seed", SeedSpec(self.master_seed).master_seed)
-        for name in ("n", "reps"):
-            object.__setattr__(self, name, _index(getattr(self, name), name, 1))
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError("eps must lie in (0, 1)")
-        if self.y is not None and not math.isfinite(self.y):
-            raise ValueError("threshold y must be finite")
-        if self.s_grid is not None:
-            sg = tuple(float(s) for s in _sequence(self.s_grid, "s_grid"))
-            if any(not 0.0 < s < 1.0 for s in sg):
-                raise ValueError("s grid must lie in (0, 1)")
-            object.__setattr__(self, "s_grid", sg)
-        for name, minimum in (("k_grid", 1), ("n_grid", 2)):
-            grid = getattr(self, name)
-            if grid is not None:
-                entry = name.replace("_", " ") + " entry"
-                object.__setattr__(self, name, tuple(_index(m, entry, minimum)
-                                                     for m in _sequence(grid, name)))
-        # the optional settings the experiment reads; their defaults are filled here,
-        # so to_text() is the config line its run records
+        # a given setting is checked, then rejected if the experiment does not read it;
+        # defaults fill in field order, n before the grids built from it
         reads = _EXPERIMENTS[self.experiment][1]
-        for name in ("s_grid", "k_grid", "n_grid", "y"):
-            if name not in reads:
-                if getattr(self, name) is not None:
-                    raise ValueError(f"{self.experiment} does not read {name}")
-            elif getattr(self, name) is None:
+        for name, check in _SETTINGS.items():
+            value = getattr(self, name)
+            if value is None and name in reads:
                 if reads[name] is None:
                     raise ValueError(f"threshold {name} is required")
-                object.__setattr__(self, name, reads[name](self.n))
+                value = reads[name](self.n) if callable(reads[name]) else reads[name]
+            if value is not None:
+                object.__setattr__(self, name, check(value))
+                if name not in reads:
+                    raise ValueError(f"{self.experiment} does not read {name}")
 
     def to_text(self) -> str:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        """The experiment, its laws and the settings it reads, as one JSON line."""
+        payload = {name: value for name, value in vars(self).items() if value is not None}
         payload["specs"] = [s.canonical() for s in self.specs]
         return json.dumps(payload, sort_keys=True)
 
@@ -429,7 +431,8 @@ def _ld_check(cfg: ExperimentConfig, workers: int) -> ReportTable:
         raise ValueError("the large-deviation check runs one spacing law at a time")
     _require_spacing_laws(cfg)
     spec = cfg.specs[0]
-    limit = -_tail_rate(spec, cfg.y)
+    estimators._check_k(cfg.n, cfg.k_grid)  # every k at most n; once, before any fork
+    limit = 0.0 - _tail_rate(spec, cfg.y)  # 0.0, not -0.0, at or below the mean
     columns = ["k", "mc", "mc_se", "events", "insufficient", "exact", "limit"]
     # mc_tail_logprob per k, from one engine run that forks its worker processes once
     ran = _tail_results(spec, cfg.k_grid, cfg.y, cfg.reps, SeedSpec(cfg.master_seed), workers)
@@ -442,14 +445,18 @@ def _ld_check(cfg: ExperimentConfig, workers: int) -> ReportTable:
     return ReportTable(columns, rows, _meta(cfg))
 
 
-# per experiment: its runner, and the optional settings it reads, each with its
-# default as a function of n (None: the setting is required)
+# per experiment: its runner, and each setting it reads (the only ones its config
+# line records) with its default: a value, a function of n, or None if required
 _EXPERIMENTS = {
-    "variance_curve": (_variance_curve, {"s_grid": lambda n: default_s_grid()}),
-    "hill_plot": (_hill_plot, {}),
-    "coverage": (_coverage, {"k_grid": default_k_grid}),
-    "exp_limit": (_exponential_limit, {"n_grid": lambda n: default_n_grid()}),
-    "ld_check": (_ld_check, {"k_grid": lambda n: (5, 10, 20, 50, 100, 200, 400), "y": None}),
+    "variance_curve": (_variance_curve, {"n": 2000, "reps": 2000, "master_seed": DEFAULT_SEED,
+                                         "s_grid": default_s_grid()}),
+    "hill_plot": (_hill_plot, {"n": 2000, "reps": 2000, "master_seed": DEFAULT_SEED}),
+    "coverage": (_coverage, {"n": 2000, "reps": 2000, "eps": 0.1, "master_seed": DEFAULT_SEED,
+                             "k_grid": default_k_grid}),
+    "exp_limit": (_exponential_limit, {"reps": 2000, "master_seed": DEFAULT_SEED,
+                                       "n_grid": (50, 200, 2000)}),
+    "ld_check": (_ld_check, {"n": 2000, "reps": 2000, "master_seed": DEFAULT_SEED,
+                             "k_grid": (5, 10, 20, 50, 100, 200, 400), "y": None}),
 }
 
 

@@ -174,6 +174,16 @@ def _index(value, name: str, minimum: int | None = None) -> int:
     return value
 
 
+def _real(value, name: str) -> float:
+    """value as a finite Python float, or ValueError: an int or float, numpy ones
+    included, is a real number; a bool is not, nor a str that float() would parse."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+    return float(value)
+
+
 def draw(spec: DistributionSpec, rng: Generator, count: int) -> np.ndarray:
     """Draw ``count`` iid values from an already-open stream."""
     # not _index: draw runs once per replication, where its cost would show

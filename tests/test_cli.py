@@ -15,7 +15,7 @@ import pytest
 
 import renyitail
 from renyitail import experiments as ex
-from renyitail.cli import (_BLOCK_ROWS, _FIGURES, _IGNORED_FLAGS, _resolve_flags,
+from renyitail.cli import (_BLOCK_ROWS, _FIGURES, _resolve_flags,
                            _write_numeric_rows, build_parser, main)
 from renyitail.engine import SeedSpec
 from renyitail.rand_models import draw, parse_spec
@@ -381,7 +381,7 @@ def test_figure_small_run_csv_meta(capsys):
 
 
 def test_figure_json_format(capsys):
-    code, out, _ = _run(capsys, "figure", "--id", "ld", "--n", "50", "--reps", "500",
+    code, out, _ = _run(capsys, "figure", "--id", "ld", "--reps", "500",
                         "--seed", "9", "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -608,11 +608,56 @@ def test_ignored_flag_exit_2(argv, message, capsys):
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
 
 
+# the figure flags each --id ignores, written out: the CLI derives them from
+# experiments._EXPERIMENTS, and a change there must show here
+FIGURE_IGNORES = {"1": ("eps", "y"), "2": ("eps", "y"), "3": ("y",), "t1": ("n", "eps", "y"),
+                  "ld": ("eps",)}
+
+
 @pytest.mark.parametrize("figure_id", list(_FIGURES))
 def test_figure_y_flag_is_ignored_where_the_experiment_does_not_read_y(figure_id):
-    # the CLI's usage rule and the library's table of settings must not drift apart
-    reads = ex._EXPERIMENTS[_FIGURES[figure_id][0]][1]
-    assert ("y" in _IGNORED_FLAGS[("figure", figure_id)]) == ("y" not in reads)
+    # the derived usage rule for --y, and for --n, --reps and --eps, is the written one
+    assert set(FIGURE_IGNORES) == set(_FIGURES)
+    parser, rejected = build_parser(), []
+    for flag, value in (("n", "50"), ("reps", "20"), ("eps", "0.2"), ("y", "2")):
+        args = parser.parse_args(["figure", "--id", figure_id, f"--{flag}", value])
+        try:
+            _resolve_flags(args, parser)
+        except SystemExit:
+            rejected.append(flag)
+    assert tuple(rejected) == FIGURE_IGNORES[figure_id]
+
+
+@pytest.mark.parametrize("figure_id", list(_FIGURES))
+def test_figure_config_line_holds_the_settings_its_experiment_reads(figure_id, capsys):
+    """At desk scale each config line names the experiment, its laws and exactly the
+    settings the experiment reads, and reads back as the config the run was given."""
+    experiment = _FIGURES[figure_id][0]
+    code, out, _ = _run(capsys, "figure", "--id", figure_id, "--reps", "20")
+    assert code == 0
+    config = _config(out)
+    assert set(config) == {"experiment", "specs", *ex._EXPERIMENTS[experiment][1]}
+    line = out.split("# config=", 1)[1].split("\r\n", 1)[0]
+    assert ex.ExperimentConfig.from_text(line).to_text() == line
+
+
+def test_figure_ld_k_grid_must_fit_in_n(capsys):
+    # every k of the ld grid (up to 400) draws k values, so n bounds the grid
+    code, out, err = _run(capsys, "figure", "--id", "ld", "--n", "50", "--reps", "50")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("renyitail: error: k must lie in 1..50, got ")
+    code, out, _ = _run(capsys, "figure", "--id", "ld", "--n", "400", "--reps", "50")
+    assert code == 0
+    assert _config(out)["n"] == 400
+
+
+def test_figure_ld_limit_is_zero_not_minus_zero_at_or_below_the_mean(capsys):
+    # the limit is -inf_{x>=y} I(x), and I vanishes at the law's mean 1
+    for y in ("0.8", "1"):
+        code, out, _ = _run(capsys, "figure", "--id", "ld", "--y", y, "--reps", "50")
+        assert code == 0
+        assert {row["limit"] for row in _parse_csv(out)} == {"0.0"}
 
 
 def test_flags_the_method_reads_are_accepted(tmp_path, capsys):
@@ -637,12 +682,12 @@ def test_figure_reads_its_flags(capsys):
     code, out, _ = _run(capsys, "figure", "--id", "2", "--n", "50", "--reps", "2")
     assert code == 0
     config = _config(out)
-    assert config["reps"] == 2 and config["y"] is None
-    # ld ignores --n but accepts it (the benchmark passes it)
-    code, out, _ = _run(capsys, "figure", "--id", "ld", "--n", "50", "--reps", "50", "--y", "2")
+    assert config["reps"] == 2 and "y" not in config
+    # ld reads --n as the bound on its k grid
+    code, out, _ = _run(capsys, "figure", "--id", "ld", "--n", "400", "--reps", "50", "--y", "2")
     assert code == 0
     config = _config(out)
-    assert config["y"] == 2.0 and config["eps"] == 0.1
+    assert config["y"] == 2.0 and config["n"] == 400 and "eps" not in config
     code, out, _ = _run(capsys, "figure", "--id", "3", "--n", "50", "--reps", "20",
                         "--eps", "0.2")
     assert code == 0
@@ -665,7 +710,7 @@ def test_figure_t1_paper_scale_names_the_n_it_runs(capsys):
     code, out, _ = _run(capsys, "figure", "--id", "t1", "--paper-scale", "--reps", "200")
     assert code == 0
     config = _config(out)
-    assert config["n"] == max(int(row["n"]) for row in _parse_csv(out))
+    assert config["n_grid"] == [int(row["n"]) for row in _parse_csv(out)] and "n" not in config
 
 
 def test_figure_reports_wall_time_on_stderr(capsys):

@@ -98,7 +98,8 @@ def test_config_rejects_a_setting_its_experiment_does_not_read(monkeypatch, expe
 def test_run_records_the_config_it_was_given(experiment):
     """With every grid left at its default, the config line a run records is
     the config's own text, and reads back as the same config."""
-    cfg = ex.ExperimentConfig(experiment=experiment, specs=("exp:gamma=1",), n=50, reps=2,
+    cfg = ex.ExperimentConfig(experiment=experiment, specs=("exp:gamma=1",), reps=2,
+                              n=400 if experiment != "exp_limit" else None,
                               y=1.5 if "y" in _READS[experiment] else None)
     line = ex.run_experiment(cfg).meta["config"]
     assert line == cfg.to_text()
@@ -144,6 +145,48 @@ def test_config_from_text_rejects_unknown_keys():
                           ('{"specs": ["exp:gamma=1"]}', "experiment")):
         with pytest.raises(ValueError, match=f"config text lacks {missing}$"):
             ex.ExperimentConfig.from_text(text)
+    # JSON of the wrong type is a ValueError, never a TypeError or a broken to_text()
+    for text, message in (('{"experiment": [], "specs": ["exp:gamma=1"]}', "unknown experiment"),
+                          ('{"experiment": "coverage", "specs": [1]}', "neither a law"),
+                          ('{"experiment": "coverage", "specs": [{"kind": "exp"}]}',
+                           "neither a law"),
+                          ('{"experiment": "coverage", "specs": ["exp:gamma=1"], "eps": "0.1"}',
+                           "eps must be a real number"),
+                          ('{"experiment": "ld_check", "specs": ["exp:gamma=1"], "y": "1.5"}',
+                           "threshold y must be a real number")):
+        with pytest.raises(ValueError, match=message):
+            ex.ExperimentConfig.from_text(text)
+
+
+def test_config_real_settings_are_python_floats():
+    # eps, y and the s grid entries take an int or a float, numpy ones included,
+    # and store a Python float; a bool or a str is not a real number
+    ld = partial(ex.ExperimentConfig, experiment="ld_check", specs=("exp:gamma=1",))
+    for y in (True, np.bool_(True), "1.5", None):
+        with pytest.raises(ValueError, match="threshold y"):
+            ld(y=y)
+    with pytest.raises(ValueError, match="s grid entry must be a real number"):
+        ex.ExperimentConfig(experiment="variance_curve", specs=THREE_LAWS, s_grid=["0.5"])
+    with pytest.raises(ValueError, match="eps must be a real number"):
+        ex.ExperimentConfig(experiment="coverage", specs=THREE_LAWS, eps=False)
+    for y in (np.float32(1.5), np.float64(1.5), np.int64(2), 2, 1.5):
+        cfg = ld(y=y)
+        assert type(cfg.y) is float and cfg.y == float(y)
+        assert ex.ExperimentConfig.from_text(cfg.to_text()) == cfg
+    cfg = ex.ExperimentConfig(experiment="variance_curve", specs=THREE_LAWS,
+                              s_grid=(np.float32(0.5), 0.25))
+    assert cfg.s_grid == (0.5, 0.25) and all(type(s) is float for s in cfg.s_grid)
+    cfg = ex.ExperimentConfig(experiment="coverage", specs=THREE_LAWS, eps=np.float16(0.25))
+    assert type(cfg.eps) is float and cfg.eps == 0.25
+
+
+@pytest.mark.parametrize("experiment, name, value", [
+    ("exp_limit", "n", 50), ("variance_curve", "eps", 0.1), ("hill_plot", "eps", 0.1),
+    ("exp_limit", "eps", 0.1), ("ld_check", "eps", 0.1)])
+def test_config_rejects_n_or_eps_where_its_experiment_does_not_read_them(experiment, name, value):
+    with pytest.raises(ValueError, match=f"^{experiment} does not read {name}$"):
+        ex.ExperimentConfig(experiment=experiment, specs=("exp:gamma=1",), y=1.5
+                            if experiment == "ld_check" else None, **{name: value})
 
 
 def test_variance_curve_rejects_iid_laws():
@@ -774,14 +817,14 @@ def test_variance_curve_values():
             assert abs(v - h) <= 0.10 * h
 
 
-@pytest.mark.parametrize("experiment, grid", [("variance_curve", {"s_grid": (0.5,)}),
+@pytest.mark.parametrize("experiment, grid", [("variance_curve", {"s_grid": (0.5,), "n": 50}),
                                               ("exp_limit", {"n_grid": (50,)})],
                          ids=["variance_curve", "exp_limit"])
 def test_variance_runs_reject_a_single_rep(monkeypatch, experiment, grid):
     # one replication has no sample variance (figure 1) or correlation (t1):
     # the run refuses it before it forks
     monkeypatch.setattr(ex, "_replications", None)  # a fork attempt would raise TypeError
-    cfg = ex.ExperimentConfig(experiment=experiment, specs=("unif:gamma=0.5",), n=50, reps=1,
+    cfg = ex.ExperimentConfig(experiment=experiment, specs=("unif:gamma=0.5",), reps=1,
                               master_seed=5, **grid)
     with pytest.raises(ValueError, match="at least 2 replications"):
         ex.run_experiment(cfg, workers=2)

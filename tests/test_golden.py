@@ -22,23 +22,25 @@ GOLDEN = {
     # the last bits, when they began to build x through generalized_renyi (a division
     # where they had multiplied by the reciprocal); figure 2 moved once more, by roundoff
     # in its spacing-law columns, when it began to take the log-spacings as differences
-    # of x instead of logs of w = exp(x); CHANGES.md lists the old and new digests
+    # of x instead of logs of w = exp(x); each figure digest moved once more when the
+    # config line came to hold only the settings its experiment reads, with every row
+    # unchanged; CHANGES.md lists the old and new digests
     ("figure", "--id", "1"):
-        "45ba703f30e87ffe1299ffacd935aaa76d4464c78c9583ffaf9a6d228555c851",
+        "f001ec28b0f5c2ed4494633db8de98eaf4bbec55890977351f549c0efba50267",
     ("figure", "--id", "2"):
-        "29a7b4db1be52e2f621b8c133c66ea1b23c6ad118e93e3c6a99031478a3c3599",
+        "8fce6fdcc83f0c32130cd2f66daecc9c79b5e524bdcc26cfb12f50219b93a8a5",
     ("figure", "--id", "3"):
-        "02e2a3714b0963a2e891e2c0f83397956b1066bdc4de7b9a3bb75dd392fa732e",
+        "f86f361c9e2a19c13a25100a7a1b340fcad6fcb510ed35f44f414eb5e77224a0",
     ("figure", "--id", "t1", "--reps", "2000"):
-        "4483ba03dfdc61248207dd7ba3a7376639d41058d5d4ec901fd4607cca14d23d",
+        "4b9822e238eda322f984be3f9187a254e07c1fb1b864e1538fb49a4779ffae0c",
     ("figure", "--id", "ld", "--reps", "20000"):
-        "d933e23720095c239be3203467248905c94b036c46308a6a6d6d8acaa0527868",
+        "9d0f775d8e32a3ab1d613f8472e2877538c2a6916f2f61a5b6f01c9a50ae9806",
     ("simulate", "--spec", "exp:gamma=0.5", "--n", "1000", "--seed", "11"):
         "a367e1eee0d7af9545bd15596f77994a3e6e4dceb5cb09f2db2c97c8cdd8e976",
     ("simulate", "--spec", "exp:gamma=0.5", "--n", "1000", "--seed", "11", "--format", "json"):
         "793fbe4f708e8550dc86053f6649fafd424b0c40046c6d8db7671dc1dd203d61",
     ("figure", "--id", "3", "--format", "json"):
-        "cdd5517c6ae8dfbff0aecd738877f2609fbc289f322c64919e33848637b22a04",
+        "89bd6dfd55bce56ad4fd20c360d3c4f3c262b525f368b29878a15de82ce6d32e",
 }
 
 
