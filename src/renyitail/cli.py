@@ -331,11 +331,14 @@ def _estimate_record(args, h: HeavySample) -> tuple:
         k, interval, s_cell = h.n, "quantile_h", args.s
         point = estimators.quantile_estimator(np.log(h.w) - math.log(h.scale_c), args.s)
         scale = estimators.spacing_sigma(h, k) * math.sqrt(estimators.h_function(args.s))
+    elif method == "hill" and args.interval == "spacing":
+        # the point and its scale from one k check and one pass: hill's and spacing_sigma's bits
+        ks, kmax = estimators._check_k(h.n, k, minimum=2)
+        interval = "spacing_variance"
+        point, scale = map(float, estimators._hill_sigma(h.zhat, ks - 1, ks, kmax))
     elif method == "hill":
         point = estimators.hill(h, k)
-        if args.interval == "spacing":
-            interval, scale = "spacing_variance", estimators.spacing_sigma(h, k)
-        elif args.interval == "self":
+        if args.interval == "self":
             interval, scale = "hill_self", point
     else:
         method, point = "ml_uniform", estimators.ml_uniform(h, k)

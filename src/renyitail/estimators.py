@@ -6,7 +6,9 @@ the variance multiplier h(s); the uniform-spacings ML estimator is half the
 largest top-k spacing.  ``half_width`` is the one normal-limit half-width
 scale * x_eps / sqrt(m): the CLI's intervals and the coverage experiment
 both take it, with scale sigma_hat or gamma_hat over m = k, or
-sigma_hat * sqrt(h(s)) over m = n for the quantile estimator.
+sigma_hat * sqrt(h(s)) over m = n for the quantile estimator.  Hill and
+sigma_hat come from one kernel that sums the top-k spacings and their squares
+in one complex prefix sum, with the bits of two real ones.
 """
 
 from __future__ import annotations
@@ -72,10 +74,18 @@ def _hill_sigma(zhat: np.ndarray, idx, ks, kmax: int):
     same bits), kmax = max k: from running sums c1 = sum z, c2 = sum z^2 over the
     top-k block, c1/k and sqrt((c2 - c1*c1/k)/(k-1)) clipped at 0 (0 at k = 1).
     c1*c1, not c1**2: numpy squares a 0-d scalar and an array element differently.
+
+    Both sums are one prefix sum over complex values z + i z^2: a complex add adds
+    the real and the imaginary parts apart, so each part has the bits of its own
+    real cumsum, and the two independent chains of adds run side by side. It runs in
+    place: a fresh 16 bytes per k would cost page faults at k = 4e4.
     """
     top = _top(zhat, kmax)
-    c1 = np.cumsum(top)[idx]
-    c2 = np.cumsum(top * top)[idx]
+    s = np.empty(kmax, np.complex128)
+    s.real = top
+    np.multiply(top, top, out=s.imag)
+    np.cumsum(s, out=s)
+    c1, c2 = s.real[idx], s.imag[idx]
     return c1 / ks, np.sqrt(np.maximum((c2 - c1 * c1 / ks) / np.maximum(ks - 1.0, 1.0), 0.0))
 
 

@@ -179,9 +179,13 @@ def _real(value, name: str) -> float:
     included, is a real number; a bool is not, nor a str that float() would parse."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number")
+    try:
+        value = float(value)
+    except OverflowError:  # a Python int beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite")
-    return float(value)
+    return value
 
 
 def draw(spec: DistributionSpec, rng: Generator, count: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from scipy import special
 from renyitail import _special
 from renyitail import estimators as est
 from renyitail import rand_models as rm
-from renyitail.experiments import default_s_grid
+from renyitail.experiments import _zhat_for, default_k_grid, default_s_grid
 from renyitail.renyi import HeavySample, heavy_sample
 
 
@@ -140,6 +140,45 @@ def test_hill_kernel_is_the_first_value_of_hill_sigma():
             kmax = int(ks.max())
             gh = est._hill(zhat, ks - 1, kf, kmax)
             assert gh.tobytes() == est._hill_sigma(zhat, ks - 1, kf, kmax)[0].tobytes()
+
+
+def _two_cumsum_hill_sigma(zhat, idx, ks, kmax):
+    """The Hill and sigma_hat kernel as two real prefix sums, one per running sum."""
+    top = est._top(zhat, kmax)
+    c1 = np.cumsum(top)[idx]
+    c2 = np.cumsum(top * top)[idx]
+    return c1 / ks, np.sqrt(np.maximum((c2 - c1 * c1 / ks) / np.maximum(ks - 1.0, 1.0), 0.0))
+
+
+def _assert_kernel_is_two_cumsums(zhat, ks):
+    kmax = int(ks.max())
+    for kf in (ks, ks.astype(np.float64)):
+        got = est._hill_sigma(zhat, ks - 1, kf, kmax)
+        want = _two_cumsum_hill_sigma(zhat, ks - 1, kf, kmax)
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 50, 5000])
+@pytest.mark.parametrize("law", ["exp:gamma=0.5", "unif:gamma=0.5", "bern:gamma=0.5",
+                                 "gamma:gamma=0.5,r=2", "pareto:gamma=0.5,c=1", "hall"])
+def test_hill_sigma_kernel_is_two_real_cumsums_bit_for_bit(law, n):
+    # one complex prefix sum holds both running sums, each with the bits of its own
+    # real cumsum; pareto and hall read the read-only HeavySample.zhat
+    zhat = _zhat_for(rm.parse_spec(law), np.random.default_rng(46), n)
+    for ks in (np.arange(1, n + 1), np.array(default_k_grid(n)), np.array(max(1, n // 3))):
+        _assert_kernel_is_two_cumsums(zhat, ks)
+
+
+def test_hill_sigma_kernel_where_the_squares_overflow():
+    # zhat near 1e200: the sum of squares is inf and sigma_hat nan, while the
+    # sum itself, and so Hill, stays finite, as with two real cumsums
+    zhat = 1e200 * np.random.default_rng(47).exponential(1.0, 50)
+    ks = np.arange(1, 51)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gh, sig = est._hill_sigma(zhat, ks - 1, ks, 50)
+        _assert_kernel_is_two_cumsums(zhat, ks)
+    assert np.all(np.isfinite(gh)) and np.all(np.isnan(sig[1:]))
 
 
 def test_spacing_sigma_scalar_equals_grid_regression():

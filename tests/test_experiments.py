@@ -180,6 +180,19 @@ def test_config_real_settings_are_python_floats():
     assert type(cfg.eps) is float and cfg.eps == 0.25
 
 
+def test_config_real_settings_beyond_the_float_range_are_not_finite():
+    # a Python int too large for a float is a ValueError like inf, not an OverflowError
+    for huge in (10**400, -(10**400), 2**1024, math.inf, np.float64(-math.inf)):
+        with pytest.raises(ValueError, match="threshold y must be finite"):
+            ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), y=huge)
+        with pytest.raises(ValueError, match="eps must be finite"):
+            ex.ExperimentConfig(experiment="coverage", specs=THREE_LAWS, eps=huge)
+        with pytest.raises(ValueError, match="s grid entry must be finite"):
+            ex.ExperimentConfig(experiment="variance_curve", specs=THREE_LAWS, s_grid=(0.5, huge))
+    cfg = ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",), y=10**300)
+    assert cfg.y == 1e300 and type(cfg.y) is float
+
+
 @pytest.mark.parametrize("experiment, name, value", [
     ("exp_limit", "n", 50), ("variance_curve", "eps", 0.1), ("hill_plot", "eps", 0.1),
     ("exp_limit", "eps", 0.1), ("ld_check", "eps", 0.1)])
@@ -925,6 +938,35 @@ def test_coverage_kernels_match_public_estimators(workers):
         assert np.array_equal(kernel_sig, sig)
         assert [est.hill(h, int(k)) for k in ks] == gh.tolist()
         assert [est.spacing_sigma(h, int(k)) for k in ks] == sig.tolist()
+        dev = np.abs(gh - spec.gamma)
+        return np.concatenate([(dev <= sig * unit), (dev <= gh * unit)])
+
+    for spec in cfg.specs:
+        freq = np.mean(ex.replication_map(partial(reference, spec), cfg.reps, cfg.master_seed,
+                                          f"coverage/{spec.canonical()}"), axis=0)
+        assert table.column(f"{spec.canonical()}_spacing") == freq[:len(ks)].tolist()
+        assert table.column(f"{spec.canonical()}_self") == freq[len(ks):].tolist()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_coverage_equals_two_real_cumsums_off_the_model_laws(workers):
+    # gamma(2) spacings, and pareto and hall, whose zhat is the read-only
+    # HeavySample.zhat of sorted draws: the table must equal one built from the
+    # Hill and sigma_hat running sums as two real cumsums on the same streams
+    n = 300
+    cfg = ex.ExperimentConfig(experiment="coverage", n=n, reps=40,
+                              specs=("gamma:gamma=0.5,r=2", "pareto:gamma=0.5,c=1", "hall"))
+    table = ex.run_experiment(cfg, workers=workers)
+    ks = np.array(cfg.k_grid)
+    ksf = ks.astype(np.float64)
+    unit = est.half_width(1.0, ks, cfg.eps)
+
+    def reference(spec, rng):
+        top = ex._zhat_for(spec, rng, n)[::-1]
+        c1 = np.cumsum(top)[ks - 1]
+        c2 = np.cumsum(top * top)[ks - 1]
+        gh = c1 / ksf
+        sig = np.sqrt(np.maximum((c2 - c1 * c1 / ksf) / np.maximum(ksf - 1.0, 1.0), 0.0))
         dev = np.abs(gh - spec.gamma)
         return np.concatenate([(dev <= sig * unit), (dev <= gh * unit)])
 
