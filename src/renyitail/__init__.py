@@ -14,7 +14,6 @@ from .estimators import (
     h_minimizer,
     half_width,
     hill,
-    hill_trajectory,
     ml_uniform,
     quantile_estimator,
     spacing_sigma,

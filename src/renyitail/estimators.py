@@ -18,11 +18,11 @@ import math
 import numpy as np
 
 from ._special import _ndtri
+from .rand_models import _unit
 from .renyi import HeavySample
 
 __all__ = [
     "hill",
-    "hill_trajectory",
     "quantile_estimator",
     "h_function",
     "h_minimizer",
@@ -89,11 +89,6 @@ def _hill_sigma(zhat: np.ndarray, idx, ks, kmax: int):
     return c1 / ks, np.sqrt(np.maximum((c2 - c1 * c1 / ks) / np.maximum(ks - 1.0, 1.0), 0.0))
 
 
-def hill_trajectory(h: HeavySample) -> np.ndarray:
-    """hill(h, k) for every k = 1..n."""
-    return hill(h, np.arange(1, h.n + 1))
-
-
 def _ceil_index(n: int, s):
     """Smallest integer >= n*s, snapping to an integer within 1e-9; elementwise over an s array."""
     ns = n * np.asarray(s, dtype=np.float64)
@@ -131,8 +126,7 @@ def quantile_estimator(x, s):
 
 def h_function(s: float) -> float:
     """Variance multiplier h(s) = s / ((1-s) log(1-s)^2) of the quantile estimator."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie in (0, 1)")
+    s = _unit(s, "s")
     return s / ((1.0 - s) * math.log1p(-s) ** 2)
 
 
@@ -176,8 +170,7 @@ def half_width(scale, m, eps: float):
 
     Every scale must be finite and at least 0 and every m at least 1, else ValueError.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    eps = _unit(eps, "eps")
     scale_arr = np.asarray(scale, dtype=np.float64)
     if not np.all(np.isfinite(scale_arr) & (scale_arr >= 0.0)):
         raise ValueError("scale must be finite and at least 0")

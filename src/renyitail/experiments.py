@@ -23,7 +23,7 @@ from . import estimators
 from ._special import KS_CRITICAL_1PCT
 from .engine import SeedSpec, _Job, _replications, replication_map
 from .large_deviations import _tail_rate, exact_hill_tail
-from .rand_models import DistributionSpec, _index, _real, draw, parse_spec, support
+from .rand_models import DistributionSpec, _index, _real, _unit, draw, parse_spec, support
 from .renyi import HeavySample, _model_zhat, cross_moment_recursion, generalized_renyi
 
 __all__ = [
@@ -53,19 +53,25 @@ def default_k_grid(n: int) -> tuple[int, ...]:
     return tuple(int(k) for k in ks)
 
 
-def _sequence(value, name: str) -> tuple:
-    """A sequence setting as a tuple: nonempty, and not one string or one number."""
+def _sequence(value, name: str, what: str, entry) -> tuple:
+    """A sequence setting as the tuple of ``entry(item, what)`` over its items:
+    nonempty, not one string or one number, and with no entry given twice, whose
+    rows or columns would repeat and whose streams would run twice."""
     seq = () if isinstance(value, str) or not hasattr(value, "__iter__") else tuple(value)
     if not seq:
         raise ValueError(f"{name} must be a nonempty sequence, got {value!r}")
+    seq = tuple(entry(item, what) for item in seq)
+    if len(set(seq)) < len(seq):
+        twice = next(e for i, e in enumerate(seq) if e in seq[:i])
+        raise ValueError(f"{what} {twice} is given twice")
     return seq
 
 
-def _unit(value, name: str) -> float:
-    value = _real(value, name)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1)")
-    return value
+def _law(value, what: str) -> DistributionSpec:
+    spec = parse_spec(value) if isinstance(value, str) else value
+    if not isinstance(spec, DistributionSpec):
+        raise ValueError(f"specs entry {spec!r} is neither a {what} nor its text")
+    return spec
 
 
 # how ExperimentConfig checks and stores each setting, in field order
@@ -74,9 +80,9 @@ _SETTINGS = {
     "reps": lambda v: _index(v, "reps", 1),
     "eps": lambda v: _unit(v, "eps"),
     "master_seed": lambda v: SeedSpec(v).master_seed,  # SeedSpec owns the seed rule
-    "s_grid": lambda v: tuple(_unit(s, "s grid entry") for s in _sequence(v, "s_grid")),
-    "k_grid": lambda v: tuple(_index(m, "k grid entry", 1) for m in _sequence(v, "k_grid")),
-    "n_grid": lambda v: tuple(_index(m, "n grid entry", 2) for m in _sequence(v, "n_grid")),
+    "s_grid": lambda v: _sequence(v, "s_grid", "s grid entry", _unit),
+    "k_grid": lambda v: _sequence(v, "k_grid", "k grid entry", partial(_index, minimum=1)),
+    "n_grid": lambda v: _sequence(v, "n_grid", "n grid entry", partial(_index, minimum=2)),
     "y": lambda v: _real(v, "threshold y"),
 }
 
@@ -100,14 +106,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.experiment, str) or self.experiment not in _EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        specs = tuple(parse_spec(s) if isinstance(s, str) else s
-                      for s in _sequence(self.specs, "specs"))
-        for i, spec in enumerate(specs):
-            if not isinstance(spec, DistributionSpec):
-                raise ValueError(f"specs entry {spec!r} is neither a law nor its text")
-            if spec in specs[:i]:  # its columns would repeat, and its streams run twice
-                raise ValueError(f"law {spec.canonical()} is given twice")
-        object.__setattr__(self, "specs", specs)
+        object.__setattr__(self, "specs", _sequence(self.specs, "specs", "law", _law))
         # a given setting is checked, then rejected if the experiment does not read it;
         # defaults fill in field order, n before the grids built from it
         reads = _EXPERIMENTS[self.experiment][1]
@@ -395,6 +394,7 @@ def _tail_results(spec: DistributionSpec, ks, y: float, reps: int, seed: SeedSpe
     run, which forks the worker processes once for all of ks.
     """
     ks, reps = [_index(k, "k", 1) for k in ks], _index(reps, "reps", 1)
+    y = _real(y, "y")  # a Python float, so y and np.float64(y) give one stream tag
     rate = _tail_rate(spec, y)
     runs = [reps * math.exp(-k * rate) >= 100.0 for k in ks]  # an infinite rate gives exp 0
     jobs = [_tail_job(spec, k, y, reps, seed) for k, run in zip(ks, runs) if run]

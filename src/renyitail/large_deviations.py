@@ -14,7 +14,7 @@ import math
 import sys
 
 from ._special import log_gammaincc
-from .rand_models import DistributionSpec, _index, moment
+from .rand_models import DistributionSpec, _index, _real, _unit, moment
 
 __all__ = [
     "rate_function",
@@ -106,10 +106,7 @@ def gamma_family_rates(r: float, c: float) -> tuple[float, float]:
     """Limiting (1/k) log P(hill/gamma >= 1+c) and <= 1-c for gamma(r, r/gamma)
     spacings: (-rc + r log(1+c), rc + r log(1-c)).
     """
-    if not 0.0 < r < math.inf:
-        raise ValueError("r must be positive and finite")
-    if not 0.0 < c < 1.0:
-        raise ValueError("c must lie in (0, 1)")
+    r, c = _real(r, "r", positive=True), _unit(c, "c")
     upper = -r * c + r * math.log1p(c)
     lower = r * c + r * math.log1p(-c)
     return upper, lower

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .estimators import hill, ml_uniform
-from .rand_models import DistributionSpec, _index
+from .rand_models import DistributionSpec, _index, _real
 from .renyi import HeavySample, _descending, _scaled_spacings
 
 __all__ = [
@@ -123,8 +123,8 @@ def ml_fit(model_family: str, w: HeavySample, k: int, r: float | None = None) ->
     block: exponential and fixed-shape gamma reduce to the Hill estimator,
     uniform to half the largest spacing.
     """
-    if model_family == "gamma" and (r is None or not 0 < r < math.inf):
-        raise ValueError("gamma family needs a finite positive shape r")
+    if model_family == "gamma":
+        _real(r, "r, the gamma family's positive shape,", positive=True)
     if model_family in ("exponential", "uniform") and r is not None:
         raise ValueError(f"{model_family} family has no shape r")
     if model_family in ("exponential", "gamma"):

@@ -67,13 +67,11 @@ class DistributionSpec:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         for name in ("gamma", "r", "c"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{self.kind}: {name} must be finite")
-        for name in ("gamma", "r", "c"):
-            value = getattr(self, name)
             if name in params:
-                if value is None or not value > 0:
-                    raise ValueError(f"{self.kind}: {name} must be positive")
+                if value is None:
+                    raise ValueError(f"{self.kind}: {name} must be positive and finite, not missing")
+                # stored as the Python float _real returns, so 1 and 1.0 give one canonical text
+                object.__setattr__(self, name, _real(value, f"{self.kind}: {name}", positive=True))
             elif value is not None and (self.kind, name, value) != ("hall", "gamma", _HALL_GAMMA):
                 # hall's gamma is fixed: restating it is allowed, any other value is not
                 raise ValueError(f"{self.kind}: unexpected parameter {name}")
@@ -174,17 +172,28 @@ def _index(value, name: str, minimum: int | None = None) -> int:
     return value
 
 
-def _real(value, name: str) -> float:
-    """value as a finite Python float, or ValueError: an int or float, numpy ones
-    included, is a real number; a bool is not, nor a str that float() would parse."""
+def _real(value, name: str, positive: bool = False) -> float:
+    """value as a finite Python float, above 0 if ``positive``, or ValueError: an int
+    or float, numpy ones included, is a real number; a bool is not, nor a str that
+    float() would parse."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number")
     try:
         value = float(value)
     except OverflowError:  # a Python int beyond the float range
         value = math.inf
+    if positive and not 0.0 < value < math.inf:  # NaN fails it too
+        raise ValueError(f"{name} must be positive and finite")
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite")
+        raise ValueError(f"{name} must be finite, not {'NaN' if math.isnan(value) else value}")
+    return value
+
+
+def _unit(value, name: str) -> float:
+    """value as a Python float in the open interval (0, 1), or ValueError, by _real's rule."""
+    value = _real(value, name)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1)")
     return value
 
 

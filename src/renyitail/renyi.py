@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rand_models import DistributionSpec, _index, cf, moment
+from .rand_models import DistributionSpec, _index, _real, cf, moment
 
 __all__ = [
     "HeavySample",
@@ -73,8 +73,7 @@ class HeavySample:
     w: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.scale_c < math.inf:
-            raise ValueError("scale C must be positive and finite")
+        object.__setattr__(self, "scale_c", _real(self.scale_c, "scale C", positive=True))
         w = np.asarray(self.w, dtype=np.float64)
         if w.ndim != 1 or len(w) < 1:
             raise ValueError("w must be a nonempty 1-d sequence")
@@ -129,11 +128,11 @@ def _model_zhat(z) -> np.ndarray:
 
 def heavy_sample(z, scale_c: float) -> HeavySample:
     """w_k = C exp(x_k) from the spacings z; requires nonnegative z so that w is ordered."""
+    scale_c = _real(scale_c, "scale C", positive=True)
     x = _model_x(z)
     with np.errstate(over="ignore"):  # reported below, not warned
         w = scale_c * np.exp(x)
-    # w is nondecreasing, so an overflow reaches its end; HeavySample rejects an infinite C
-    if w[-1] == math.inf and math.isfinite(scale_c):
+    if w[-1] == math.inf:  # w is nondecreasing, so an overflow reaches its end
         raise ValueError(f"C*exp(x_n) overflows float64: C = {scale_c:g}, x_n = {float(x[-1]):g}")
     return HeavySample(scale_c=scale_c, w=w)
 
@@ -145,9 +144,7 @@ def psi_n(spec: DistributionSpec, n: int, t: float) -> complex:
     cumulative product of the n factors, multiplied in order of j.  It
     holds all n factors at once: O(n) memory, 16 bytes per factor.
     """
-    n = _index(n, "n", 1)
-    if not math.isfinite(t):
-        raise ValueError("t must be finite")
+    n, t = _index(n, "n", 1), _real(t, "t")
     return complex(np.cumprod(cf(spec, t / _descending(n))).sum()) / n
 
 

@@ -113,14 +113,6 @@ def test_hill_clt(law):
     assert ks < 1.63 / math.sqrt(reps)
 
 
-def test_hill_trajectory_matches_pointwise():
-    rng = np.random.default_rng(44)
-    h = heavy_sample(rng.random(60), 1.0)
-    traj = est.hill_trajectory(h)
-    for k in (1, 2, 30, 60):
-        assert traj[k - 1] == pytest.approx(est.hill(h, k), rel=1e-12)
-
-
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(z=st.lists(st.floats(0.0, 100.0), min_size=2, max_size=300),
        c=st.floats(0.01, 100.0), data=st.data())

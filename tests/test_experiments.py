@@ -18,8 +18,10 @@ from renyitail import estimators as est
 from renyitail import experiments as ex
 from renyitail import rand_models as rm
 from renyitail.estimators import h_function
-from renyitail.large_deviations import exact_hill_tail
-from renyitail.renyi import cross_moment_recursion, generalized_renyi, moment_recursion, psi_n
+from renyitail.large_deviations import exact_hill_tail, gamma_family_rates
+from renyitail.likelihood import ml_fit
+from renyitail.renyi import (HeavySample, cross_moment_recursion, generalized_renyi, heavy_sample,
+                             moment_recursion, psi_n)
 
 THREE_LAWS = ("unif:gamma=0.5", "bern:gamma=0.5", "exp:gamma=0.5")
 
@@ -111,6 +113,16 @@ def test_config_rejects_a_law_given_twice():
                   (rm.uniform(0.5), "bern:gamma=0.5", "unif:gamma=0.5")):
         with pytest.raises(ValueError, match="given twice"):
             ex.ExperimentConfig(experiment="coverage", specs=specs)
+
+
+@pytest.mark.parametrize("experiment, grid", [
+    ("ld_check", {"k_grid": (5, 10, 5)}), ("coverage", {"k_grid": (10, np.int64(10))}),
+    ("exp_limit", {"n_grid": (50, 50)}), ("variance_curve", {"s_grid": (0.5, np.float32(0.5))})])
+def test_config_rejects_a_grid_entry_given_twice(experiment, grid):
+    # its rows would repeat, and ld and exp_limit would run the same streams twice
+    with pytest.raises(ValueError, match="grid entry .* is given twice"):
+        ex.ExperimentConfig(experiment=experiment, specs=("exp:gamma=1",),
+                            y=1.5 if experiment == "ld_check" else None, **grid)
 
 
 def test_config_integer_settings():
@@ -557,6 +569,99 @@ def test_every_count_is_an_integer_at_least_its_minimum(site, monkeypatch):
     with pytest.raises(ValueError, match=f"^{below or f'{name} must be at least {minimum}'}$"):
         call(minimum - 1, ran)
     assert ran == []
+
+
+_POSITIVE, _UNIT = (0, -1), (0, 1, -0.5, 1.5)
+
+# (call of one real, returning what it stored or computed; a value inside its range;
+# values outside it): every real input of the package
+_REALS = {
+    "exponential gamma": (lambda v: rm.exponential(v).gamma, 2.0, _POSITIVE),
+    "uniform gamma": (lambda v: rm.uniform(v).gamma, 2.0, _POSITIVE),
+    "bernoulli gamma": (lambda v: rm.bernoulli(v).gamma, 0.5, (0, 1.5)),
+    "gamma_law r": (lambda v: rm.gamma_law(v, 1.0).r, 2.0, _POSITIVE),
+    "gamma_law gamma": (lambda v: rm.gamma_law(2.0, v).gamma, 2.0, _POSITIVE),
+    "strict_pareto gamma": (lambda v: rm.strict_pareto(v, 1.0).gamma, 0.5, _POSITIVE),
+    "strict_pareto c": (lambda v: rm.strict_pareto(0.5, v).c, 2.0, _POSITIVE),
+    "HeavySample scale C": (lambda v: HeavySample(v, np.array([3.0, 4.0])).scale_c, 2.0,
+                            _POSITIVE),
+    "heavy_sample scale C": (lambda v: heavy_sample([0.5, 0.25], v).scale_c, 2.0, _POSITIVE),
+    "psi_n t": (lambda v: psi_n(_EXP, 10, v), 2.0, ()),
+    "h_function s": (lambda v: h_function(v), 0.5, _UNIT),
+    "half_width eps": (lambda v: est.half_width(1.0, 10, v), 0.25, _UNIT),
+    "ml_fit r": (lambda v: ml_fit("gamma", heavy_sample([0.5, 0.25], 1.0), 2, r=v), 2.0,
+                 _POSITIVE),
+    "gamma_family_rates r": (lambda v: gamma_family_rates(v, 0.5), 2.0, _POSITIVE),
+    "gamma_family_rates c": (lambda v: gamma_family_rates(2.0, v), 0.5, _UNIT),
+    "mc_tail_logprob y": (lambda v: ex.mc_tail_logprob(_EXP, 5, v, 4000, engine.SeedSpec(7)),
+                          2.0, ()),
+    "config eps": (lambda v: _config(eps=v).eps, 0.25, _UNIT),
+    "config s grid entry": (lambda v: ex.ExperimentConfig(
+        experiment="variance_curve", specs=THREE_LAWS, s_grid=(0.75, v)).s_grid[1], 0.5, _UNIT),
+    "config y": (lambda v: ex.ExperimentConfig(experiment="ld_check", specs=("exp:gamma=1",),
+                                               y=v).y, 2.0, ()),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_REALS))
+def test_every_real_is_a_finite_float_in_its_range(site):
+    """A bool, a str, NaN, an infinity, an int beyond the float range and a value
+    outside the site's range each fail; an int or a numpy number is its float twin."""
+    call, inside, outside = _REALS[site]
+    for value in (True, np.bool_(True), str(inside), math.nan, math.inf, -math.inf,
+                  10**400, *outside):
+        with pytest.raises(ValueError):
+            call(value)
+    want = call(inside)
+    twins = [np.float64(inside), np.float32(inside)]
+    if inside.is_integer():
+        twins += [int(inside), np.int64(inside)]
+    for value in twins:
+        got = call(value)
+        # a stored real is a Python float, as the float call's is; mc_tail_logprob's
+        # y is its stream tag's, so there equal results are equal event counts
+        assert got == want and type(got) is type(want), (value, got)
+
+
+# per experiment: a small run whose laws and real settings are given as whole(v) for
+# a whole v and frac(v) otherwise
+_REPLAYS = {
+    "variance_curve": lambda whole, frac: (
+        (rm.exponential(whole(1)), rm.uniform(frac(0.5))),
+        {"n": 50, "reps": 20, "s_grid": (0.25, frac(0.5))}),
+    "hill_plot": lambda whole, frac: (
+        (rm.strict_pareto(frac(0.5), whole(1)), rm.exponential(whole(2))),
+        {"n": 30, "reps": 10}),
+    "coverage": lambda whole, frac: (
+        (rm.exponential(whole(1)), rm.gamma_law(whole(2), frac(0.5))),
+        {"n": 50, "reps": 20, "k_grid": (10, 50), "eps": frac(0.25)}),
+    "exp_limit": lambda whole, frac: (
+        (rm.bernoulli(frac(0.5)), rm.gamma_law(whole(3), whole(1))),
+        {"reps": 20, "n_grid": (5, 10)}),
+    "ld_check": lambda whole, frac: (
+        (rm.exponential(whole(1)),),
+        {"n": 20, "reps": 2000, "k_grid": (5, 10), "y": frac(1.5)}),
+}
+
+
+@pytest.mark.parametrize("whole, frac", [(int, np.float64), (np.int64, np.float32)],
+                         ids=["int", "numpy"])
+@pytest.mark.parametrize("experiment", sorted(_REPLAYS))
+def test_int_and_numpy_reals_replay_as_their_float_twin(experiment, whole, frac):
+    """A law's canonical text is its stream identity: a law or setting given as an
+    int or a numpy number has its float twin's text, config line and table bytes,
+    and the config replays from its own text."""
+    specs, settings = _REPLAYS[experiment](whole, frac)
+    cfg = ex.ExperimentConfig(experiment=experiment, specs=specs, **settings)
+    twin_specs, twin_settings = _REPLAYS[experiment](float, float)
+    twin = ex.ExperimentConfig(experiment=experiment, specs=twin_specs, **twin_settings)
+    assert [s.canonical() for s in cfg.specs] == [s.canonical() for s in twin.specs]
+    assert cfg.to_text() == twin.to_text()
+    replay = ex.ExperimentConfig.from_text(cfg.to_text())
+    want = ex.run_experiment(twin).to_csv()
+    for workers in (1, 2):
+        assert ex.run_experiment(cfg, workers=workers).to_csv() == want
+        assert ex.run_experiment(replay, workers=workers).to_csv() == want
 
 
 @pytest.mark.parametrize("seed", [np.uint64(7), np.int64(7), 7], ids=repr)
