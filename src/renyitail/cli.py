@@ -27,7 +27,7 @@ from .experiments import (
     ReportTable,
     run_experiment,
 )
-from .large_deviations import gamma_family_rates, iid_comparison_rates, rate_function
+from .large_deviations import gamma_family_rates, rate_function
 from .rand_models import draw, parse_spec
 from .renyi import HeavySample, heavy_sample
 
@@ -162,38 +162,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# flags each choice ignores (a figure ignores those its experiment does not
-# read), and the defaults of the flags it reads
-_IGNORED_FLAGS = {
-    ("estimate", "hill"): ("s",),
-    ("estimate", "quantile"): ("k", "interval"),
-    ("estimate", "ml-uniform"): ("s", "interval", "eps"),
-    ("fit", "exponential"): ("r",),
-    ("fit", "uniform"): ("r",),
-    ("rate", "iid"): ("r",),
-    ("rate", None): ("r", "c"),
+# per (command, mode): the flags that mode ignores and the flags it needs (a
+# figure ignores the settings its experiment does not read); then the defaults
+# of the flags each command reads
+_FLAG_RULES = {
+    ("estimate", "hill"): (("s",), ()),
+    ("estimate", "quantile"): (("k", "interval"), ()),
+    ("estimate", "ml-uniform"): (("s", "interval", "eps"), ()),
+    ("fit", "exponential"): (("r",), ()),
+    ("fit", "gamma"): ((), ("r",)),
+    ("fit", "uniform"): (("r",), ()),
+    ("rate", "gamma"): (("spec", "z"), ("c",)),
+    ("rate", "iid"): (("r", "spec", "z"), ("c",)),
+    ("rate", None): (("r", "c"), ("spec", "z")),
+    **{("figure", figure_id): (tuple(name for name in _FIGURE_SETTINGS
+                                     if name not in _EXPERIMENTS[experiment][1]), ())
+       for figure_id, (experiment, *_) in _FIGURES.items()},
 }
 _FLAG_DEFAULTS = {"estimate": {"s": 0.797, "interval": "spacing", "eps": 0.1},
                   "rate": {"r": 1.0}}
 
 
 def _resolve_flags(args, parser) -> None:
-    """Reject a flag the chosen method ignores, or a missing one it needs (exit 2),
-    then fill in the defaults it reads."""
+    """Apply the command's usage rules from _FLAG_RULES: a given flag its mode
+    ignores, or a missing flag its mode needs, is a usage error (exit 2).  Then
+    fill in the defaults from _FLAG_DEFAULTS."""
     key = {"estimate": "method", "figure": "id"}.get(args.command, "family")
     choice = getattr(args, key, None)
-    ignored = _IGNORED_FLAGS.get((args.command, choice), ())
-    if args.command == "figure":  # the settings its experiment does not read
-        reads = _EXPERIMENTS[_FIGURES[choice][0]][1]
-        ignored = [name for name in _FIGURE_SETTINGS if name not in reads]
+    ignored, needed = _FLAG_RULES.get((args.command, choice), ((), ()))
+    mode = f"with --{key} {choice}" if choice else f"without --{key}"
     for name in ignored:
         if getattr(args, name) is not None:
-            what = f"with --{key} {choice}" if choice else f"without --{key}"
-            parser.error(f"--{name} has no effect {what}")
+            parser.error(f"--{name} has no effect {mode}")
+    for name in needed:
+        if getattr(args, name) is None:
+            who = f"--{key} {choice}" if choice else f"{args.command} without --{key}"
+            parser.error(f"{who} needs --{name}")
     if args.command == "estimate" and args.interval == "none" and args.eps is not None:
         parser.error("--eps has no effect with --interval none")
-    if args.command == "fit" and args.family == "gamma" and args.r is None:
-        parser.error("--family gamma needs --r")
     for name, value in _FLAG_DEFAULTS.get(args.command, {}).items():
         if getattr(args, name) is None:
             setattr(args, name, value)
@@ -251,6 +257,11 @@ def _read_column(path: str, allow_unsorted: bool) -> np.ndarray:
         line = linenos[i] if linenos else i + 1
         raise DataError(f"{where}:{line}: data decreases here; pass --allow-unsorted to sort")
     return data
+
+
+def _read_sample(args) -> HeavySample:
+    """The heavy sample in estimate's or fit's input, at scale floor --c."""
+    return HeavySample(scale_c=args.c, w=_read_column(args.input, args.allow_unsorted))
 
 
 def _emit(table: ReportTable, args, argv: list[str], row_blocks=()) -> None:
@@ -347,8 +358,7 @@ def _estimate_record(args, h: HeavySample) -> tuple:
 
 
 def _cmd_estimate(args, argv) -> int:
-    data = _read_column(args.input, args.allow_unsorted)
-    h = HeavySample(scale_c=args.c, w=data)
+    h = _read_sample(args)
     table = ReportTable(
         ["method", "gamma_hat", "lower", "upper", "k_used", "level", "interval_method", "s"],
         [_estimate_record(args, h)],
@@ -359,8 +369,7 @@ def _cmd_estimate(args, argv) -> int:
 
 
 def _cmd_fit(args, argv) -> int:
-    data = _read_column(args.input, args.allow_unsorted)
-    h = HeavySample(scale_c=args.c, w=data)
+    h = _read_sample(args)
     k = args.k if args.k is not None else h.n
     gamma_hat = likelihood.ml_fit(args.family, h, k, r=args.r)
     table = ReportTable(
@@ -372,27 +381,14 @@ def _cmd_fit(args, argv) -> int:
     return 0
 
 
-def _cmd_rate(args, argv, parser) -> int:
-    by_family = args.family is not None
-    by_spec = args.spec is not None or args.z is not None
-    if by_family == by_spec:
-        parser.error("rate needs either --family with --c, or --spec with --z")
-    if by_family:
-        if args.c is None:
-            parser.error("--family needs --c in (0, 1)")
-        if args.family == "gamma":
-            upper, lower = gamma_family_rates(args.r, args.c)
-            row = ("gamma", args.r, args.c, upper, lower)
-        else:
-            upper, lower = iid_comparison_rates(args.c)
-            row = ("iid", 1.0, args.c, upper, lower)
-        table = ReportTable(["family", "r", "c", "upper_rate", "lower_rate"], [row], {})
+def _cmd_rate(args, argv) -> int:
+    if args.family is not None:  # iid is the gamma family at r = 1, its default r
+        upper, lower = gamma_family_rates(args.r, args.c)
+        table = ReportTable(["family", "r", "c", "upper_rate", "lower_rate"],
+                            [(args.family, args.r, args.c, upper, lower)], {})
     else:
-        if args.spec is None or args.z is None:
-            parser.error("--spec and --z go together")
         value = rate_function(args.spec, args.z)
-        table = ReportTable(["spec", "z", "rate"],
-                            [(args.spec.canonical(), args.z, value)], {})
+        table = ReportTable(["spec", "z", "rate"], [(args.spec.canonical(), args.z, value)], {})
     _emit(table, args, argv)
     return 0
 
@@ -411,6 +407,10 @@ def _cmd_figure(args, argv) -> int:
     return 0
 
 
+_COMMANDS = {"simulate": _cmd_simulate, "estimate": _cmd_estimate, "fit": _cmd_fit,
+             "rate": _cmd_rate, "figure": _cmd_figure}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -418,15 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _resolve_flags(args, parser)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args, argv)
-        if args.command == "estimate":
-            return _cmd_estimate(args, argv)
-        if args.command == "fit":
-            return _cmd_fit(args, argv)
-        if args.command == "rate":
-            return _cmd_rate(args, argv, parser)
-        return _cmd_figure(args, argv)
+        return _COMMANDS[args.command](args, argv)
     except (DataError, ValueError, NotImplementedError, OSError, ReplicationError) as exc:
         print(f"renyitail: error: {exc}", file=sys.stderr)
         return 1

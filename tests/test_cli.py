@@ -15,7 +15,7 @@ import pytest
 
 import renyitail
 from renyitail import experiments as ex
-from renyitail.cli import (_BLOCK_ROWS, _FIGURES, _resolve_flags,
+from renyitail.cli import (_BLOCK_ROWS, _FIGURES, _FLAG_RULES, _resolve_flags,
                            _write_numeric_rows, build_parser, main)
 from renyitail.engine import SeedSpec
 from renyitail.rand_models import draw, parse_spec
@@ -626,6 +626,72 @@ def test_figure_y_flag_is_ignored_where_the_experiment_does_not_read_y(figure_id
         except SystemExit:
             rejected.append(flag)
     assert tuple(rejected) == FIGURE_IGNORES[figure_id]
+
+
+# every estimate, fit and rate rule, written out: per (command, mode), the flags
+# that mode rejects (exit 2 when given) and the flags it needs (exit 2 without)
+MODE_RULES = {
+    ("estimate", "hill"): (("s",), ()),
+    ("estimate", "quantile"): (("k", "interval"), ()),
+    ("estimate", "ml-uniform"): (("s", "interval", "eps"), ()),
+    ("fit", "exponential"): (("r",), ()),
+    ("fit", "gamma"): ((), ("r",)),
+    ("fit", "uniform"): (("r",), ()),
+    ("rate", "gamma"): (("spec", "z"), ("c",)),
+    ("rate", "iid"): (("r", "spec", "z"), ("c",)),
+    ("rate", None): (("r", "c"), ("spec", "z")),
+}
+# per command: its argv up to the mode's value, and the optional flags with a value each
+_MODE_ARGV = {"estimate": ("estimate", "-", "--c", "1", "--method"),
+              "fit": ("fit", "-", "--c", "1", "--family"), "rate": ("rate", "--family")}
+_MODE_FLAGS = {"estimate": {"k": "3", "s": "0.5", "eps": "0.05", "interval": "self"},
+               "fit": {"k": "3", "r": "2"},
+               "rate": {"r": "2", "c": "0.5", "spec": "exp:gamma=1", "z": "2"}}
+
+
+@pytest.mark.parametrize("command, mode", list(MODE_RULES))
+def test_mode_rules_are_the_written_ones(command, mode):
+    assert set(MODE_RULES) == {key for key in _FLAG_RULES if key[0] != "figure"}
+    rejected, needed = MODE_RULES[command, mode]
+    base = [*_MODE_ARGV[command], mode] if mode else [command]
+    parser, values = build_parser(), _MODE_FLAGS[command]
+
+    def exits(flags):
+        args = parser.parse_args(base + [a for f in flags for a in (f"--{f}", values[f])])
+        try:
+            _resolve_flags(args, parser)
+        except SystemExit:
+            return True
+        return False
+
+    assert not exits(needed)
+    assert [f for f in needed if exits([g for g in needed if g != f])] == list(needed)
+    assert {f for f in values if f not in needed and exits([*needed, f])} == set(rejected)
+
+
+RATE_USAGE_ERRORS = [
+    (("rate",), "rate without --family needs --spec"),
+    (("rate", "--family", "gamma"), "--family gamma needs --c"),
+    (("rate", "--spec", "exp:gamma=1"), "rate without --family needs --z"),
+    (("rate", "--z", "2"), "rate without --family needs --spec"),
+    (("rate", "--family", "iid", "--c", "0.5", "--spec", "exp:gamma=1"),
+     "--spec has no effect with --family iid"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [pytest.param(*case, id=" ".join(case[0]))
+                                           for case in RATE_USAGE_ERRORS])
+def test_rate_usage_error_exit_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_rate_iid_is_the_gamma_family_at_r_1(capsys):
+    _, iid, _ = _run(capsys, "rate", "--family", "iid", "--c", "0.9")
+    _, gamma, _ = _run(capsys, "rate", "--family", "gamma", "--r", "1", "--c", "0.9")
+    assert [{**row, "family": "gamma"} for row in _parse_csv(iid)] == _parse_csv(gamma)
 
 
 @pytest.mark.parametrize("figure_id", list(_FIGURES))
